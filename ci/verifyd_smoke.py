@@ -196,9 +196,10 @@ def main():
         flooder.send(pair_request(i, qasm_dir, heavy))
     rejects = 0
     # Admission errors are written synchronously as each line is read,
-    # while the one admitted race takes seconds — so the first 7 responses
-    # are (all but pathologically) the rejections. One slot is in flight,
-    # zero may queue: >=1 of 8 must bounce with SATURATED.
+    # which takes microseconds while the one admitted race takes
+    # milliseconds — so the first 7 responses are (all but pathologically)
+    # the rejections. One slot is in flight, zero may queue: >=1 of 8 must
+    # bounce with SATURATED.
     for _ in range(7):
         response = flooder.recv()
         if "error" in response:

@@ -32,8 +32,8 @@ pub mod emit;
 use algorithms::{bv, qft, qpe};
 use circuit::QuantumCircuit;
 use dd::Budget;
-use portfolio::{verify_portfolio, PortfolioConfig, Scheme};
-use qcec::{check_functional_equivalence_with, CheckError, Configuration, Equivalence, Strategy};
+use portfolio::{applicable_schemes, verify_portfolio, PortfolioConfig, Scheme};
+use qcec::{check_functional_equivalence_with, CheckError, Configuration, Equivalence};
 use sim::{extract_distribution_budgeted, ExtractionConfig, SimError, StateVectorSimulator};
 use std::time::{Duration, Instant};
 use transform::{align_to_reference, reconstruct_unitary};
@@ -374,17 +374,13 @@ fn run_row_portfolio(
 ) -> TableRow {
     let static_circuit = &instance.static_circuit;
     let dynamic_circuit = &instance.dynamic_circuit;
-    let strategies = [
-        Strategy::Proportional,
-        Strategy::OneToOne,
-        Strategy::Reference,
-    ];
     let schemes = if options.skip_functional {
         vec![Scheme::FixedInput]
     } else if options.skip_fixed_input {
-        strategies
-            .iter()
-            .map(|&s| Scheme::DynamicFunctional(s))
+        // The registered reconstruction schedules, whichever they are.
+        applicable_schemes(static_circuit, dynamic_circuit)
+            .into_iter()
+            .filter(|scheme| matches!(scheme, Scheme::DynamicFunctional(_)))
             .collect()
     } else {
         Vec::new() // auto-select

@@ -58,15 +58,34 @@ pub enum Strategy {
     /// the paper's evaluation ("the generic 'proportional' strategy of
     /// QCEC").
     Proportional,
-    /// Diff-guided alternation for pairs where the right circuit is the left
-    /// circuit with gates *inserted* — the shape every routing pass
-    /// produces. Matching gates are applied strictly in lockstep (one left
-    /// gate, then its inverted right twin), inserted SWAP triplets are
-    /// applied on the right side alone while the wire correspondence is
-    /// updated, so the intermediate miter stays a literal qubit permutation
-    /// instead of drifting into a large diagram. Gates that match neither
-    /// way fall back to the proportional schedule, so the strategy degrades
-    /// gracefully on pairs without insertion structure.
+    /// Commutation-aware lockstep for pairs that hold the same gates in a
+    /// different order, or the same gates with some *inserted* — the static
+    /// QFT/QPE against their reconstructed dynamic realizations, and the
+    /// shape every routing pass produces. Each left gate is applied together
+    /// with its inverted right *twin*, so the miter stays near the identity.
+    /// Three rules decide the pairing, and each is exact:
+    ///
+    /// * **Commutation.** The twin may sit behind other pending right gates
+    ///   if, on every wire it shares with one of them, both act diagonally
+    ///   (a control always does, a target when its gate is diagonal). Such
+    ///   gates are block-diagonal over their shared wires and act on
+    ///   disjoint wires inside each block, so they commute.
+    /// * **Twins.** The same gate on the same target and controls; or the
+    ///   same phase-type gate (Z, S, S†, T, T†, P) with only positive
+    ///   controls on the same wire *set*. Such a gate only multiplies the
+    ///   all-ones state of its wires by a phase, so the choice of target
+    ///   does not change its unitary.
+    /// * **Identity fast path.** While nothing has been multiplied in, the
+    ///   miter is exactly the identity and a twin pair keeps it there
+    ///   (`g · I · g† = I`), so the pair is skipped without decision-diagram
+    ///   work. The budget's cancel token and deadline are polled on this
+    ///   path too.
+    ///
+    /// Inserted SWAP triplets are applied on the right side alone while the
+    /// wire correspondence is updated, so the intermediate miter stays a
+    /// literal qubit permutation instead of drifting into a large diagram.
+    /// Gates without a twin fall back to the proportional schedule, so the
+    /// strategy degrades gracefully on unrelated pairs.
     Aligned,
 }
 

@@ -9,9 +9,10 @@
 //!
 //! * **Functional equivalence of unitary circuits**
 //!   ([`check_functional_equivalence`]): builds the miter `U · U'†` as a
-//!   decision diagram with a configurable gate schedule (reference, 1:1, or
-//!   the QCEC-style *proportional* schedule) and tests it against the
-//!   identity.
+//!   decision diagram with a configurable gate schedule (reference, 1:1,
+//!   the QCEC-style *proportional* schedule, or the commutation-aware
+//!   [*aligned*](Strategy::Aligned) schedule that pairs every gate with its
+//!   reordered twin) and tests it against the identity.
 //! * **Simulative equivalence** ([`check_simulative_equivalence`]): compares
 //!   the action of both circuits on random computational-basis stimuli.
 //! * **Dynamic circuits, scheme 1** ([`verify_dynamic_functional`]): the

@@ -7,9 +7,39 @@
 //! [`Strategy`](crate::Strategy). Close to equivalent circuits the
 //! proportional schedule keeps the intermediate diagram near the identity and
 //! therefore small — the key insight of the underlying QCEC tool.
+//!
+//! # The aligned schedule
+//!
+//! [`Strategy::Aligned`] pairs every left gate with its *twin* on the right
+//! and applies the two together, so the miter never drifts from the
+//! identity on equivalent pairs that hold the same gates in a different
+//! order — the static and the reconstructed semiclassical QFT, or QPE and
+//! the reconstructed iterative QPE. Three syntactic rules decide what is
+//! applied, and each is exact:
+//!
+//! * **Commutation.** A pending right gate may be applied before the right
+//!   gates that precede it when, on every wire it shares with one of them,
+//!   both act diagonally (a control always does, a target when its gate
+//!   [`is_diagonal`](circuit::StandardGate::is_diagonal)). Two such gates
+//!   are block-diagonal in the computational basis of their shared wires and
+//!   act on disjoint wires inside each block, so they commute and the right
+//!   circuit's unitary is unchanged by the reorder.
+//! * **Twins.** Two gates are twins when they are the same gate under the
+//!   same (wire-mapped) target and controls, or when both are the same
+//!   phase-type gate (Z, S, S†, T, T†, P) with only positive controls on the
+//!   same wire *set*. Such a gate multiplies the all-ones basis state of its
+//!   wires by one phase and fixes every other basis state, so which wire is
+//!   named the target does not change the unitary. This is what lines a
+//!   deferred `p_if` (control on the later qubit) up with the static
+//!   `cp(k, j)` (control on the earlier qubit).
+//! * **Identity fast path.** While nothing has been multiplied into the
+//!   miter it is exactly the identity, and a twin pair `g, g` leaves it
+//!   there: `g · I · g† = I`. Such pairs are skipped without any
+//!   decision-diagram work. The fast path allocates no nodes, so it polls
+//!   the budget's cancel token and deadline itself.
 
 use crate::equivalence::{Configuration, Equivalence, Strategy};
-use circuit::{OpKind, Operation, QuantumCircuit, StandardGate};
+use circuit::{OpKind, Operation, QuantumCircuit, QuantumControl, StandardGate};
 use dd::{Budget, DdPackage, LimitExceeded, MEdge};
 use sim::{dd_controls, gate_matrix};
 use std::time::{Duration, Instant};
@@ -99,7 +129,8 @@ fn unitary_ops<'a>(
     Ok(ops)
 }
 
-fn apply_left(package: &mut DdPackage, miter: MEdge, op: &Operation) -> MEdge {
+/// The gate, target and controls of an operation kept by [`unitary_ops`].
+fn unitary_parts(op: &Operation) -> (StandardGate, usize, &[QuantumControl]) {
     let OpKind::Unitary {
         gate,
         target,
@@ -108,76 +139,258 @@ fn apply_left(package: &mut DdPackage, miter: MEdge, op: &Operation) -> MEdge {
     else {
         unreachable!("filtered to unitary operations")
     };
-    let matrix = gate_matrix(*gate);
-    let gate_dd = package.make_gate(&matrix, *target, &dd_controls(controls));
+    (*gate, *target, controls)
+}
+
+fn apply_left(package: &mut DdPackage, miter: MEdge, op: &Operation) -> MEdge {
+    let (gate, target, controls) = unitary_parts(op);
+    let gate_dd = package.make_gate(&gate_matrix(gate), target, &dd_controls(controls));
     package.mul_matrices(gate_dd, miter)
 }
 
 fn apply_right_inverse(package: &mut DdPackage, miter: MEdge, op: &Operation) -> MEdge {
-    let OpKind::Unitary {
-        gate,
-        target,
-        controls,
-    } = &op.kind
-    else {
-        unreachable!("filtered to unitary operations")
-    };
-    let matrix = gate_matrix(gate.inverse());
-    let gate_dd = package.make_gate(&matrix, *target, &dd_controls(controls));
+    let (gate, target, controls) = unitary_parts(op);
+    let gate_dd = package.make_gate(&gate_matrix(gate.inverse()), target, &dd_controls(controls));
     package.mul_matrices(miter, gate_dd)
 }
 
-/// Returns whether `right` is `left` with every wire renamed through
-/// `mapping` (`mapping[left_wire] = right_wire`): same gate, mapped target,
-/// and mapped controls in order.
-fn ops_match(left: &Operation, right: &Operation, mapping: &[usize]) -> bool {
-    let (
-        OpKind::Unitary {
-            gate: lg,
-            target: lt,
-            controls: lc,
-        },
-        OpKind::Unitary {
-            gate: rg,
-            target: rt,
-            controls: rc,
-        },
-    ) = (&left.kind, &right.kind)
-    else {
-        return false;
-    };
-    lg == rg
-        && mapping[*lt] == *rt
-        && lc.len() == rc.len()
-        && lc
-            .iter()
-            .zip(rc.iter())
-            .all(|(l, r)| l.positive == r.positive && mapping[l.qubit] == r.qubit)
+/// Whether `gate` is diagonal with its only non-unit entry on `|1⟩`, i.e. a
+/// `P(θ)`: with positive controls it then acts on its wires symmetrically.
+fn symmetric_phase(gate: StandardGate) -> bool {
+    use StandardGate::*;
+    matches!(gate, Z | S | Sdg | T | Tdg | Phase(_))
 }
 
-/// Detects the three-CNOT SWAP pattern `cx(a,b); cx(b,a); cx(a,b)` at the
-/// head of `ops` (how the router and the layout-restoration emit SWAPs) and
-/// returns the swapped wire pair.
-fn swap_triplet(ops: &[&Operation]) -> Option<(usize, usize)> {
-    let cx = |op: &Operation| -> Option<(usize, usize)> {
-        match &op.kind {
-            OpKind::Unitary {
-                gate: StandardGate::X,
-                target,
-                controls,
-            } if controls.len() == 1 && controls[0].positive => Some((controls[0].qubit, *target)),
-            _ => None,
-        }
-    };
-    let (a, b) = cx(ops.first()?)?;
-    (cx(ops.get(1)?)? == (b, a) && cx(ops.get(2)?)? == (a, b)).then_some((a, b))
+/// Whether a gate's target and controls are pairwise distinct wires.
+fn distinct_wires(target: usize, controls: &[QuantumControl]) -> bool {
+    controls
+        .iter()
+        .enumerate()
+        .all(|(i, c)| c.qubit != target && controls[..i].iter().all(|d| d.qubit != c.qubit))
 }
+
+/// Returns whether `right` is the same unitary as `left` with every wire
+/// renamed through `mapping` (`mapping[left_wire] = right_wire`): the same
+/// gate on the mapped target under the mapped controls in order, or the
+/// same [`symmetric_phase`] gate with only positive controls on the same
+/// mapped wire set (see the module docs for why both rules are exact).
+fn ops_match(left: &Operation, right: &Operation, mapping: &[usize]) -> bool {
+    let (lg, lt, lc) = unitary_parts(left);
+    let (rg, rt, rc) = unitary_parts(right);
+    if lg != rg || lc.len() != rc.len() {
+        return false;
+    }
+    let same_wires = mapping[lt] == rt
+        && lc
+            .iter()
+            .zip(rc)
+            .all(|(l, r)| l.positive == r.positive && mapping[l.qubit] == r.qubit);
+    same_wires
+        || (symmetric_phase(lg)
+            && lc.iter().chain(rc).all(|c| c.positive)
+            && distinct_wires(lt, lc)
+            && distinct_wires(rt, rc)
+            && std::iter::once(lt)
+                .chain(lc.iter().map(|c| c.qubit))
+                .all(|l| rt == mapping[l] || rc.iter().any(|r| r.qubit == mapping[l])))
+}
+
+/// Sentinel of the intrusive lists in [`PendingGates`].
+const NONE: usize = usize::MAX;
+
+/// One wire of a pending right gate, linked to the previous and next pending
+/// gates on the same wire.
+struct WireLink {
+    op: usize,
+    wire: usize,
+    /// Whether the gate acts diagonally on this wire: a control always does,
+    /// a target when its gate is diagonal.
+    diagonal: bool,
+    prev: usize,
+    next: usize,
+}
+
+/// The right circuit's gates not yet applied to the miter, in circuit order,
+/// with an index of the pending gates on each wire. Applying a gate out of
+/// order unlinks it in O(its wires); the twin search walks only the gates
+/// on one wire and allocates nothing.
+struct PendingGates<'a> {
+    ops: &'a [&'a Operation],
+    /// Circuit-order list of the pending gates; `ops.len()` is its sentinel.
+    next: Vec<usize>,
+    prev: Vec<usize>,
+    /// Gate `i` owns `links[first_link[i]..first_link[i + 1]]`.
+    first_link: Vec<usize>,
+    links: Vec<WireLink>,
+    /// First pending link of every wire.
+    wire_head: Vec<usize>,
+    /// Number of gates applied so far.
+    applied: usize,
+}
+
+impl<'a> PendingGates<'a> {
+    fn new(ops: &'a [&'a Operation], n: usize) -> Self {
+        let len = ops.len();
+        let mut first_link = Vec::with_capacity(len + 1);
+        let mut links: Vec<WireLink> = Vec::with_capacity(2 * len);
+        let mut wire_head = vec![NONE; n];
+        let mut wire_tail = vec![NONE; n];
+        for (op, operation) in ops.iter().enumerate() {
+            first_link.push(links.len());
+            let (gate, target, controls) = unitary_parts(operation);
+            let wires = std::iter::once((target, gate.is_diagonal()))
+                .chain(controls.iter().map(|c| (c.qubit, true)));
+            for (wire, diagonal) in wires {
+                let id = links.len();
+                let prev = wire_tail[wire];
+                match prev {
+                    NONE => wire_head[wire] = id,
+                    _ => links[prev].next = id,
+                }
+                wire_tail[wire] = id;
+                links.push(WireLink {
+                    op,
+                    wire,
+                    diagonal,
+                    prev,
+                    next: NONE,
+                });
+            }
+        }
+        first_link.push(links.len());
+        PendingGates {
+            ops,
+            next: (1..=len).chain([0]).collect(),
+            prev: std::iter::once(len).chain(0..len).collect(),
+            first_link,
+            links,
+            wire_head,
+            applied: 0,
+        }
+    }
+
+    /// The first pending gate in circuit order.
+    fn front(&self) -> Option<usize> {
+        self.after(self.ops.len())
+    }
+
+    /// The pending gate after `op` in circuit order.
+    fn after(&self, op: usize) -> Option<usize> {
+        let next = self.next[op];
+        (next != self.ops.len()).then_some(next)
+    }
+
+    fn links_of(&self, op: usize) -> &[WireLink] {
+        &self.links[self.first_link[op]..self.first_link[op + 1]]
+    }
+
+    /// Marks pending gate `op` as applied.
+    fn remove(&mut self, op: usize) {
+        let (prev, next) = (self.prev[op], self.next[op]);
+        self.next[prev] = next;
+        self.prev[next] = prev;
+        for id in self.first_link[op]..self.first_link[op + 1] {
+            let WireLink {
+                wire, prev, next, ..
+            } = self.links[id];
+            match prev {
+                NONE => self.wire_head[wire] = next,
+                _ => self.links[prev].next = next,
+            }
+            if next != NONE {
+                self.links[next].prev = prev;
+            }
+        }
+        self.applied += 1;
+    }
+
+    /// Whether pending gate `op` may be applied before every pending gate
+    /// that precedes it: on each wire it shares with one of them, both act
+    /// diagonally.
+    fn movable(&self, op: usize) -> bool {
+        self.links_of(op).iter().all(|own| {
+            let mut cursor = self.wire_head[own.wire];
+            loop {
+                let link = &self.links[cursor];
+                if link.op == op {
+                    return true;
+                }
+                if !(own.diagonal && link.diagonal) {
+                    return false;
+                }
+                cursor = link.next;
+            }
+        })
+    }
+
+    /// Finds a pending twin of `left` (see [`ops_match`]) that is
+    /// [`movable`](Self::movable) to the front. Walks the pending gates on
+    /// `left`'s mapped target wire while they act diagonally there — a twin
+    /// behind a non-diagonal gate on that wire could not move past it.
+    fn find_twin(&self, left: &Operation, mapping: &[usize]) -> Option<usize> {
+        let (gate, target, _) = unitary_parts(left);
+        // The twin acts on this wire as `left` acts on its target.
+        let diagonal = gate.is_diagonal();
+        let mut cursor = self.wire_head[mapping[target]];
+        while cursor != NONE {
+            let link = &self.links[cursor];
+            if ops_match(left, self.ops[link.op], mapping) && self.movable(link.op) {
+                return Some(link.op);
+            }
+            if !(diagonal && link.diagonal) {
+                return None;
+            }
+            cursor = link.next;
+        }
+        None
+    }
+
+    /// Detects the three-CNOT SWAP pattern `cx(a,b); cx(b,a); cx(a,b)` at
+    /// the front of the pending gates (how the router and the
+    /// layout-restoration emit SWAPs) and returns the swapped wire pair.
+    fn swap_triplet(&self) -> Option<(usize, usize)> {
+        let cx = |op: usize| -> Option<(usize, usize)> {
+            match unitary_parts(self.ops[op]) {
+                (StandardGate::X, target, [control]) if control.positive => {
+                    Some((control.qubit, target))
+                }
+                _ => None,
+            }
+        };
+        let first = self.front()?;
+        let second = self.after(first)?;
+        let third = self.after(second)?;
+        let (a, b) = cx(first)?;
+        (cx(second)? == (b, a) && cx(third)? == (a, b)).then_some((a, b))
+    }
+}
+
+/// Polls a budget on paths that allocate no decision-diagram nodes (the
+/// package polls it only inside allocation and at operation safe points).
+fn poll_budget(budget: &Budget) -> Result<(), CheckError> {
+    if budget.is_cancelled() {
+        Err(CheckError::LimitExceeded(LimitExceeded::Cancelled))
+    } else if budget.deadline_exceeded() {
+        Err(CheckError::LimitExceeded(LimitExceeded::Deadline))
+    } else {
+        Ok(())
+    }
+}
+
+/// Skipped twin pairs between two budget polls on the identity fast path.
+const FAST_PATH_POLL: usize = 64;
 
 /// Checks whether two unitary circuits implement the same functionality.
 ///
 /// Trailing measurements and barriers are ignored; any other non-unitary
 /// operation is an error (run the reconstruction of the `transform` crate
 /// first).
+///
+/// The verdict is [`Equivalence::NoInformation`] when the final miter's
+/// identity fidelity exceeds `1 + tolerance`. No unitary has a trace larger
+/// than its dimension, so such a miter lost precision: its edge weights fell
+/// below the complex table's absolute tolerance, as the `2^{-n/2}` weights
+/// of a Hadamard layer on about 80 or more qubits do.
 ///
 /// # Errors
 ///
@@ -323,34 +536,51 @@ pub fn check_functional_equivalence_in(
             }
         }
         Strategy::Aligned => {
-            // Two-pointer diff walk. `mapping[l] = r` is the current wire
-            // correspondence: after the right side applies an inserted SWAP,
-            // left wires living on the swapped right wires trade places. At
-            // every point where the pointers are in sync the partial miter
-            // equals the inverse of that wire permutation — a linear-size
-            // diagram — so insertion-only pairs (routing, layout
-            // restoration) never leave the cheap regime.
+            // Diff walk: the left side runs in order, the right side applies
+            // the left head's twin as soon as the commutation rule lets it
+            // move to the front (see the module docs). `mapping[l] = r` is
+            // the current wire correspondence: after the right side applies
+            // an inserted SWAP, left wires living on the swapped right wires
+            // trade places. Whenever every applied gate had its twin the
+            // partial miter equals the inverse of that wire permutation — a
+            // linear-size diagram — so reordered and insertion-only pairs
+            // (routing, layout restoration) never leave the cheap regime.
             let total_left = left_ops.len().max(1);
             let total_right = right_ops.len().max(1);
+            let mut pending = PendingGates::new(&right_ops, n);
             let mut mapping: Vec<usize> = (0..n).collect();
+            // Nothing multiplied in yet: the miter is exactly the identity,
+            // and so is `mapping` (a SWAP is multiplied in when tracked).
+            let mut untouched = true;
+            let mut skipped = 0usize;
             let mut li = 0;
-            let mut ri = 0;
             let mut steps = 0usize;
-            while li < left_ops.len() || ri < right_ops.len() {
-                let matched = li < left_ops.len()
-                    && ri < right_ops.len()
-                    && ops_match(left_ops[li], right_ops[ri], &mapping);
-                if matched {
+            while li < left_ops.len() || pending.front().is_some() {
+                let twin = left_ops
+                    .get(li)
+                    .and_then(|op| pending.find_twin(op, &mapping));
+                if let Some(twin) = twin {
+                    if untouched {
+                        // Identity fast path: g · I · g† = I.
+                        if skipped.is_multiple_of(FAST_PATH_POLL) {
+                            poll_budget(budget)?;
+                        }
+                        skipped += 1;
+                        li += 1;
+                        pending.remove(twin);
+                        continue;
+                    }
                     miter = apply_left(&mut package, miter, left_ops[li]);
                     li += 1;
-                    miter = apply_right_inverse(&mut package, miter, right_ops[ri]);
-                    ri += 1;
-                } else if let Some((a, b)) = swap_triplet(&right_ops[ri..]) {
+                    miter = apply_right_inverse(&mut package, miter, right_ops[twin]);
+                    pending.remove(twin);
+                } else if let Some((a, b)) = pending.swap_triplet() {
                     // An inserted SWAP: consume all three CNOTs on the right
                     // side and track the wire exchange.
                     for _ in 0..3 {
-                        miter = apply_right_inverse(&mut package, miter, right_ops[ri]);
-                        ri += 1;
+                        let front = pending.front().expect("a triplet has three gates");
+                        miter = apply_right_inverse(&mut package, miter, right_ops[front]);
+                        pending.remove(front);
                     }
                     for wire in &mut mapping {
                         if *wire == a {
@@ -360,19 +590,24 @@ pub fn check_functional_equivalence_in(
                         }
                     }
                 } else {
-                    // No insertion structure here — take one proportional
-                    // step so unrelated pairs still terminate with the same
-                    // cost shape as `Proportional`.
-                    let take_left = li < left_ops.len()
-                        && (ri >= right_ops.len() || li * total_right <= ri * total_left);
-                    if take_left {
-                        miter = apply_left(&mut package, miter, left_ops[li]);
-                        li += 1;
-                    } else {
-                        miter = apply_right_inverse(&mut package, miter, right_ops[ri]);
-                        ri += 1;
+                    // No twin and no insertion structure here — take one
+                    // proportional step so unrelated pairs still terminate
+                    // with the same cost shape as `Proportional`.
+                    match pending.front() {
+                        Some(front)
+                            if li >= left_ops.len()
+                                || li * total_right > pending.applied * total_left =>
+                        {
+                            miter = apply_right_inverse(&mut package, miter, right_ops[front]);
+                            pending.remove(front);
+                        }
+                        _ => {
+                            miter = apply_left(&mut package, miter, left_ops[li]);
+                            li += 1;
+                        }
                     }
                 }
+                untouched = false;
                 if let Some(reason) = package.limit_exceeded() {
                     return Err(CheckError::LimitExceeded(reason));
                 }
@@ -385,7 +620,11 @@ pub fn check_functional_equivalence_in(
     }
 
     let identity_fidelity = package.identity_fidelity(miter);
-    let equivalence = if identity_fidelity >= 1.0 - config.tolerance {
+    let equivalence = if identity_fidelity > 1.0 + config.tolerance {
+        // Impossible for a unitary: the diagram lost precision, so it
+        // supports no claim either way.
+        Equivalence::NoInformation
+    } else if identity_fidelity >= 1.0 - config.tolerance {
         // Distinguish a genuine identity from one with a global phase by
         // looking at the (complex) trace direction.
         let trace = package.trace(miter);
@@ -414,7 +653,7 @@ pub fn check_functional_equivalence_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use algorithms::{ghz, qft, random};
+    use algorithms::{bv, ghz, qft, qpe, random};
 
     #[test]
     fn identical_circuits_are_equivalent() {
@@ -677,6 +916,83 @@ mod tests {
         )
         .unwrap();
         assert_eq!(check.equivalence, Equivalence::NotEquivalent);
+    }
+
+    #[test]
+    fn aligned_strategy_keeps_reordered_dynamic_twins_at_the_identity() {
+        // The static QFT walks its CP triangle row by row, the reconstructed
+        // semiclassical QFT column by column (with control and target of
+        // every CP exchanged); QPE and the reconstructed IQPE interleave the
+        // same gates differently. Commutation-aware twin matching pairs every
+        // gate, so the miter never leaves the n-node identity.
+        let config = Configuration {
+            strategy: Strategy::Aligned,
+            ..Default::default()
+        };
+        let phi = qpe::random_exact_phase(42, 7);
+        for (left, right) in [
+            (qft::qft_static(64, None, true), qft::qft_dynamic(64)),
+            (qpe::qpe_static(phi, 42, true), qpe::iqpe_dynamic(phi, 42)),
+        ] {
+            let n = left.num_qubits();
+            let report = crate::verify_dynamic_functional(&left, &right, &config).unwrap();
+            assert_eq!(report.equivalence, Equivalence::Equivalent, "n = {n}");
+            assert_eq!(report.check.peak_diagram_size, n, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_miter_that_lost_precision_makes_no_claim() {
+        // Proportionally interleaved, a 96-qubit BV pair builds Hadamard
+        // layers whose 2^-48 weights fall below the complex table's
+        // tolerance; the final trace then exceeds the dimension. That
+        // used to pass as "equivalent up to global phase" even for a twin
+        // whose hidden string differs in one bit. The aligned schedule
+        // pairs the Hadamards and stays exact.
+        let hidden: Vec<bool> = (0..95).map(|i| i % 3 != 0).collect();
+        let mut flipped = hidden.clone();
+        flipped[40] = !flipped[40];
+        let left = bv::bv_static(&hidden, true);
+        for (right, aligned_verdict) in [
+            (bv::bv_dynamic(&hidden), Equivalence::Equivalent),
+            (bv::bv_dynamic(&flipped), Equivalence::NotEquivalent),
+        ] {
+            let verdict = |strategy| {
+                let config = Configuration {
+                    strategy,
+                    ..Default::default()
+                };
+                crate::verify_dynamic_functional(&left, &right, &config)
+                    .unwrap()
+                    .check
+            };
+            let proportional = verdict(Strategy::Proportional);
+            assert!(proportional.identity_fidelity > 1.0 + 1e-8);
+            assert_eq!(proportional.equivalence, Equivalence::NoInformation);
+            assert_eq!(verdict(Strategy::Aligned).equivalence, aligned_verdict);
+        }
+    }
+
+    #[test]
+    fn aligned_fast_path_observes_the_budget() {
+        // The identity fast path allocates nothing, so the package never
+        // polls the budget there: the walk has to stop by itself.
+        let left = qft::qft_static(8, None, false);
+        let config = Configuration {
+            strategy: Strategy::Aligned,
+            ..Default::default()
+        };
+        let expired = Budget::unlimited().with_deadline(Duration::ZERO);
+        assert!(matches!(
+            check_functional_equivalence_with(&left, &left, &config, &expired),
+            Err(CheckError::LimitExceeded(LimitExceeded::Deadline))
+        ));
+        let cancelled = Budget::unlimited();
+        cancelled.cancel();
+        assert!(matches!(
+            check_functional_equivalence_with(&left, &left, &config, &cancelled),
+            Err(CheckError::LimitExceeded(LimitExceeded::Cancelled))
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! *does* is its [registry descriptor](crate::scheme::SchemeDescriptor)'s.
 
 use crate::scheduler::{self, SchedulePlan, SchedulePolicy};
-use crate::scheme::{applicable_descriptors, Scheme};
+use crate::scheme::{applicable_descriptors, Scheme, SchemeOutcome};
 use crate::telemetry::TelemetryStore;
 use circuit::QuantumCircuit;
 use dd::{Budget, CancelToken, SharedStore, SharedStoreStats};
@@ -367,9 +367,10 @@ impl PortfolioResult {
 /// [`scheme::REGISTRY`](crate::scheme::REGISTRY) whose applicability
 /// predicate accepts the pair, ordered by their
 /// [`race_rank`](crate::scheme::SchemeDescriptor::race_rank). Static pairs
-/// select the three miter schedules plus random-stimulus simulation; pairs
-/// with dynamic primitives select the Section 4 reconstruction flow (all
-/// three schedules) plus the Section 5 fixed-input extraction.
+/// select the four miter schedules plus random-stimulus simulation; pairs
+/// with dynamic primitives select the Section 4 reconstruction flow (the
+/// proportional, aligned and reference schedules) plus the Section 5
+/// fixed-input extraction.
 pub fn applicable_schemes(left: &QuantumCircuit, right: &QuantumCircuit) -> Vec<Scheme> {
     applicable_descriptors(left, right)
         .iter()
@@ -408,7 +409,9 @@ pub fn run_scheme(
 ///
 /// The scheme body is the registry descriptor's
 /// [`runner`](crate::scheme::SchemeDescriptor::runner); this function adds
-/// timing and folds the outcome into a [`SchemeReport`].
+/// timing and folds the outcome into a [`SchemeReport`]. A scheme without a
+/// registry entry (an explicit [`PortfolioConfig::schemes`] list can name
+/// one) runs nothing and reports the missing entry as its error.
 pub fn run_scheme_in(
     scheme: Scheme,
     left: &QuantumCircuit,
@@ -418,7 +421,16 @@ pub fn run_scheme_in(
     store: Option<&Arc<SharedStore>>,
 ) -> SchemeReport {
     let start = Instant::now();
-    let outcome = (scheme.descriptor().runner)(left, right, config, budget, store);
+    let outcome = match scheme.descriptor() {
+        Some(descriptor) => (descriptor.runner)(left, right, config, budget, store),
+        None => SchemeOutcome {
+            verdict: None,
+            peak_nodes: None,
+            error: Some(format!("scheme `{scheme}` has no registry entry")),
+            cancelled: false,
+            memory: None,
+        },
+    };
     SchemeReport {
         scheme,
         // `ProbablyEquivalent` (simulative agreement) is advisory, so it

@@ -7,11 +7,23 @@
 //! exponentially slower — depending on how many measurement outcomes carry
 //! probability mass. The crate answers that in three layers:
 //!
-//! * **[`scheme`] — the registry.** Every scheme is a
-//!   [`SchemeDescriptor`](scheme::SchemeDescriptor): a static name, an
-//!   applicability predicate over the circuit pair, static cost features
-//!   and a runner function. The engine and scheduler are generic over
-//!   registry entries; adding a scheme means adding one descriptor.
+//! * **[`scheme`] — the registry.** Every registered scheme is a
+//!   [`SchemeDescriptor`](scheme::SchemeDescriptor): an applicability
+//!   predicate over the circuit pair, static cost features, launch ranks
+//!   and a runner function; the [`Scheme`] it describes carries the static
+//!   name. The engine and scheduler are generic over registry entries;
+//!   adding a scheme means adding one descriptor. The nine entries are the
+//!   four miter schedules (proportional, aligned, one-to-one, reference)
+//!   plus simulation for static pairs, and the reconstruction flow under
+//!   the proportional, aligned and reference schedules plus the fixed-input
+//!   extraction for dynamic pairs. On a reconstructed pair the aligned
+//!   schedule ([`qcec::Strategy::Aligned`]) pairs every gate with its
+//!   reordered twin, so `dynamic-functional(aligned)` decides the paper's
+//!   QFT, QPE and BV rows without leaving the identity; it holds the launch
+//!   ranks of the dynamic one-to-one schedule it replaced. An explicit
+//!   [`PortfolioConfig::schemes`] list may still name an unregistered
+//!   scheme (such as `DynamicFunctional(OneToOne)`): it runs nothing and
+//!   comes back as a failed [`SchemeReport`] naming the missing entry.
 //! * **[`scheduler`] — the policy.** [`scheduler::plan`] turns a circuit
 //!   pair, a [`SchedulePolicy`] and recorded telemetry into a launch plan.
 //!   [`SchedulePolicy::Race`] (the default, and the paper's proposal)
@@ -124,10 +136,11 @@
 //! * the race includes the `functional(aligned)` scheme
 //!   ([`qcec::Strategy::Aligned`]): a diff-guided gate schedule that walks
 //!   an insertion-only pair (the shape every routing pass produces) in
-//!   strict lockstep, tracking inserted SWAP triplets as wire renamings, so
-//!   the routed step's miter never drifts the way a globally proportional
-//!   schedule lets it. This is what makes the chain's hardest step — the
-//!   routing pass — cheaper than the endpoint miter instead of costlier.
+//!   lockstep, pairing each gate with its twin and tracking inserted SWAP
+//!   triplets as wire renamings, so the routed step's miter never drifts
+//!   the way a globally proportional schedule lets it. This is what makes
+//!   the chain's hardest step — the routing pass — cheaper than the
+//!   endpoint miter instead of costlier.
 //!
 //! Chains ride every front-end: manifests gain a `chains` array
 //! ([`batch::Manifest::chains`], [`chain::ChainSpec`]), `verify --chain`

@@ -319,8 +319,12 @@ pub fn plan(
             // equivalent pair. Extend the wave with the best-ranked proving
             // scheme so one conclusive-capable scheme always launches up
             // front.
-            let proves =
-                |scheduled: &ScheduledScheme| scheduled.scheme.descriptor().cost.proves_equivalence;
+            let proves = |scheduled: &ScheduledScheme| {
+                scheduled
+                    .scheme
+                    .descriptor()
+                    .is_some_and(|descriptor| descriptor.cost.proves_equivalence)
+            };
             if !primary.iter().any(proves) {
                 if let Some(position) = reserve.iter().position(proves) {
                     let promoted = reserve.remove(position);
@@ -329,7 +333,12 @@ pub fn plan(
             }
             // The reserve escalates in race order — by that point the
             // prediction has already been wrong once.
-            reserve.sort_by_key(|scheduled| scheduled.scheme.descriptor().race_rank);
+            reserve.sort_by_key(|scheduled| {
+                scheduled
+                    .scheme
+                    .descriptor()
+                    .map(|descriptor| descriptor.race_rank)
+            });
             SchedulePlan {
                 features,
                 sequential: false,

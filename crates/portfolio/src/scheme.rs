@@ -1,13 +1,10 @@
 //! The scheme registry: one [`SchemeDescriptor`] per verification scheme.
 //!
-//! PRs 1–4 grew the engine around a hardcoded [`Scheme`] enum whose
-//! behaviour was scattered over `match` arms — applicability, display
-//! names, launch ordering and the scheme bodies each lived in their own
-//! list. This module replaces all of that with a flat **registry**: every
-//! scheme is a descriptor carrying
+//! The [`Scheme`] enum only names a scheme (a static
+//! [`&'static str` name](Scheme::name), no allocation per lookup). What a
+//! scheme *does* lives in a flat **registry**: every registered scheme is a
+//! descriptor carrying
 //!
-//! * a stable [`&'static str` name](SchemeDescriptor::name) (formatted once,
-//!   at compile time — reports no longer allocate a `String` per lookup),
 //! * an [applicability predicate](SchemeDescriptor::applicable) over the
 //!   circuit pair,
 //! * static cost features ([`CostProfile`]) and the heuristic launch ranks
@@ -57,23 +54,30 @@ pub enum Scheme {
 impl Scheme {
     /// Short stable name used in reports, benchmarks and telemetry keys.
     ///
-    /// The name is a static string carried by the scheme's registry
-    /// descriptor — no allocation per call.
+    /// Every `Scheme` value has a name, registered or not, so reports and
+    /// telemetry keys stay total over whatever a caller asks the engine to
+    /// run.
     pub fn name(self) -> &'static str {
-        self.descriptor().name
+        match self {
+            Scheme::Functional(Strategy::Proportional) => "functional(proportional)",
+            Scheme::Functional(Strategy::Aligned) => "functional(aligned)",
+            Scheme::Functional(Strategy::OneToOne) => "functional(one-to-one)",
+            Scheme::Functional(Strategy::Reference) => "functional(reference)",
+            Scheme::Simulative => "simulative",
+            Scheme::FixedInput => "fixed-input",
+            Scheme::DynamicFunctional(Strategy::Proportional) => "dynamic-functional(proportional)",
+            Scheme::DynamicFunctional(Strategy::Aligned) => "dynamic-functional(aligned)",
+            Scheme::DynamicFunctional(Strategy::OneToOne) => "dynamic-functional(one-to-one)",
+            Scheme::DynamicFunctional(Strategy::Reference) => "dynamic-functional(reference)",
+        }
     }
 
-    /// The registry entry describing this scheme.
-    ///
-    /// # Panics
-    ///
-    /// Never — every `Scheme` value has exactly one registry entry (asserted
-    /// by the crate's tests).
-    pub fn descriptor(self) -> &'static SchemeDescriptor {
-        REGISTRY
-            .iter()
-            .find(|descriptor| descriptor.scheme == self)
-            .expect("every scheme has a registry entry")
+    /// The registry entry describing this scheme, or `None` for a scheme
+    /// the registry does not carry (e.g. `DynamicFunctional(OneToOne)`).
+    /// [`PortfolioConfig::schemes`] is public, so an explicit scheme list
+    /// can name such a scheme; the engine reports it as a failed scheme.
+    pub fn descriptor(self) -> Option<&'static SchemeDescriptor> {
+        REGISTRY.iter().find(|descriptor| descriptor.scheme == self)
     }
 }
 
@@ -134,10 +138,8 @@ pub struct CostProfile {
 /// one scheme.
 #[derive(Debug, Clone, Copy)]
 pub struct SchemeDescriptor {
-    /// The scheme's identity.
+    /// The scheme's identity (and, through [`Scheme::name`], its name).
     pub scheme: Scheme,
-    /// Stable display/report name (static — formatted once, here).
-    pub name: &'static str,
     /// Whether the scheme applies to the given circuit pair.
     pub applicable: fn(&QuantumCircuit, &QuantumCircuit) -> bool,
     /// Position in the threaded race launch order (0 = the heuristic
@@ -161,6 +163,15 @@ fn dynamic_pair(left: &QuantumCircuit, right: &QuantumCircuit) -> bool {
 
 /// The scheme registry.
 ///
+/// Static pairs get all four miter schedules plus simulation. Dynamic pairs
+/// get the reconstruction flow under the proportional, aligned and
+/// reference schedules plus the fixed-input extraction. There is no dynamic
+/// one-to-one entry: on a reconstructed pair the aligned schedule pairs
+/// every gate with its twin wherever the twin sits, which one-to-one does
+/// only when both circuits happen to list the gates in the same order.
+/// Static `functional(one-to-one)` stays, since it still wins some
+/// compile-chain steps.
+///
 /// Race ranks reproduce the historical launch orders: static pairs lead
 /// with the proportional miter schedule, dynamic pairs with the fixed-input
 /// extraction. Sequential ranks reproduce the tiny-instance try orders
@@ -170,7 +181,6 @@ fn dynamic_pair(left: &QuantumCircuit, right: &QuantumCircuit) -> bool {
 pub static REGISTRY: [SchemeDescriptor; 9] = [
     SchemeDescriptor {
         scheme: Scheme::Functional(Strategy::Proportional),
-        name: "functional(proportional)",
         applicable: static_pair,
         race_rank: 0,
         sequential_rank: 0,
@@ -182,7 +192,6 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
     },
     SchemeDescriptor {
         scheme: Scheme::Functional(Strategy::Aligned),
-        name: "functional(aligned)",
         applicable: static_pair,
         race_rank: 1,
         sequential_rank: 1,
@@ -199,7 +208,6 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
     },
     SchemeDescriptor {
         scheme: Scheme::Functional(Strategy::OneToOne),
-        name: "functional(one-to-one)",
         applicable: static_pair,
         race_rank: 2,
         sequential_rank: 2,
@@ -211,7 +219,6 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
     },
     SchemeDescriptor {
         scheme: Scheme::Functional(Strategy::Reference),
-        name: "functional(reference)",
         applicable: static_pair,
         race_rank: 3,
         sequential_rank: 3,
@@ -223,7 +230,6 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
     },
     SchemeDescriptor {
         scheme: Scheme::Simulative,
-        name: "simulative",
         applicable: static_pair,
         race_rank: 4,
         sequential_rank: 4,
@@ -235,7 +241,6 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
     },
     SchemeDescriptor {
         scheme: Scheme::FixedInput,
-        name: "fixed-input",
         applicable: dynamic_pair,
         race_rank: 0,
         sequential_rank: 1,
@@ -247,7 +252,6 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
     },
     SchemeDescriptor {
         scheme: Scheme::DynamicFunctional(Strategy::Proportional),
-        name: "dynamic-functional(proportional)",
         applicable: dynamic_pair,
         race_rank: 1,
         sequential_rank: 0,
@@ -258,8 +262,7 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         runner: run_dynamic_proportional,
     },
     SchemeDescriptor {
-        scheme: Scheme::DynamicFunctional(Strategy::OneToOne),
-        name: "dynamic-functional(one-to-one)",
+        scheme: Scheme::DynamicFunctional(Strategy::Aligned),
         applicable: dynamic_pair,
         race_rank: 2,
         sequential_rank: 2,
@@ -267,11 +270,10 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
             proves_equivalence: true,
             relative_cost: 1.2,
         },
-        runner: run_dynamic_one_to_one,
+        runner: run_dynamic_aligned,
     },
     SchemeDescriptor {
         scheme: Scheme::DynamicFunctional(Strategy::Reference),
-        name: "dynamic-functional(reference)",
         applicable: dynamic_pair,
         race_rank: 3,
         sequential_rank: 3,
@@ -423,14 +425,14 @@ fn run_dynamic_proportional(
     run_dynamic_functional(Strategy::Proportional, left, right, config, budget, store)
 }
 
-fn run_dynamic_one_to_one(
+fn run_dynamic_aligned(
     left: &QuantumCircuit,
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     budget: &Budget,
     store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
-    run_dynamic_functional(Strategy::OneToOne, left, right, config, budget, store)
+    run_dynamic_functional(Strategy::Aligned, left, right, config, budget, store)
 }
 
 fn run_dynamic_reference(
@@ -514,10 +516,24 @@ mod tests {
                 .iter()
                 .filter(|d| d.scheme == descriptor.scheme)
                 .count();
-            assert_eq!(hits, 1, "{} registered {hits} times", descriptor.name);
+            let name = descriptor.scheme.name();
+            assert_eq!(hits, 1, "{name} registered {hits} times");
             // The descriptor lookup resolves to the entry itself.
-            assert_eq!(descriptor.scheme.name(), descriptor.name);
+            assert!(std::ptr::eq(
+                descriptor.scheme.descriptor().unwrap(),
+                descriptor
+            ));
+            let same_name = registry()
+                .iter()
+                .filter(|d| d.scheme.name() == name)
+                .count();
+            assert_eq!(same_name, 1, "{name} names two entries");
         }
+        // The registry drops the dynamic one-to-one schedule; the name
+        // stays total so reports of an explicit scheme list can say so.
+        let unregistered = Scheme::DynamicFunctional(Strategy::OneToOne);
+        assert!(unregistered.descriptor().is_none());
+        assert_eq!(unregistered.name(), "dynamic-functional(one-to-one)");
     }
 
     #[test]

@@ -88,8 +88,8 @@ fn assert_parity_across_cutoffs(label: &str, left: &QuantumCircuit, right: &Quan
     }
 }
 
-/// The four static-pair schemes (three miter schedules + simulation) on a
-/// QFT-10 instance pair.
+/// The static-pair schemes (four miter schedules + simulation) on a QFT-10
+/// instance pair.
 #[test]
 fn qft10_static_schemes_agree_across_dense_cutoffs() {
     let left = qft::qft_static(10, None, false);
@@ -106,8 +106,9 @@ fn qft10_static_schemes_agree_across_dense_cutoffs() {
     assert_parity_across_cutoffs("qft10-static", &left, &right);
 }
 
-/// The four dynamic-pair schemes (three reconstruction schedules + the
-/// fixed-input extraction) on the QFT-10 static/dynamic pair.
+/// The four dynamic-pair schemes (three reconstruction schedules, among them
+/// the aligned one, + the fixed-input extraction) on the QFT-10
+/// static/dynamic pair.
 #[test]
 fn qft10_dynamic_schemes_agree_across_dense_cutoffs() {
     let left = qft::qft_static(10, None, true);
@@ -115,7 +116,7 @@ fn qft10_dynamic_schemes_agree_across_dense_cutoffs() {
     let schemes = applicable_schemes(&left, &right);
     for strategy in [
         Strategy::Reference,
-        Strategy::OneToOne,
+        Strategy::Aligned,
         Strategy::Proportional,
     ] {
         assert!(schemes.contains(&Scheme::DynamicFunctional(strategy)));

@@ -110,10 +110,10 @@ fn scheme_selection_follows_circuit_kind() {
 
 #[test]
 fn losing_schemes_are_cancelled_instead_of_running_to_completion() {
-    // Dynamic QFT at n = 16: the fixed-input extraction finishes in a
-    // fraction of the reconstruction+miter flow's time (~4x measured), so
-    // the portfolio should crown it and cancel the three functional
-    // schedules mid-miter.
+    // Dynamic QFT at n = 16: the aligned reconstruction schedule pairs
+    // every gate with its twin and decides in milliseconds, far ahead of
+    // the 2^16-leaf extraction and the drifting proportional and reference
+    // miters, so the portfolio should crown it and cancel those mid-run.
     let n = 16;
     let static_qft = qft::qft_static(n, None, true);
     let dynamic_qft = qft::qft_dynamic(n);
@@ -327,6 +327,47 @@ fn explicit_scheme_list_is_respected() {
     assert_eq!(result.schemes.len(), 1);
     assert_eq!(result.winner, Some(Scheme::FixedInput));
     assert_eq!(result.verdict, Equivalence::Equivalent);
+}
+
+#[test]
+fn unregistered_scheme_is_reported_as_an_error_instead_of_panicking() {
+    // `PortfolioConfig::schemes` is public, so a caller can name a scheme
+    // the registry does not carry. It must come back as a failed report,
+    // and the registered schemes of the same list still decide the pair.
+    let (static_qpe, iqpe) = paper_qpe_pair();
+    let unregistered = Scheme::DynamicFunctional(Strategy::OneToOne);
+    let alone = verify_portfolio(
+        &static_qpe,
+        &iqpe,
+        &PortfolioConfig {
+            schemes: vec![unregistered],
+            ..Default::default()
+        },
+    );
+    assert_eq!(alone.verdict, Equivalence::NoInformation);
+    assert_eq!(alone.winner, None);
+    let report = &alone.schemes[0];
+    assert_eq!(report.scheme, unregistered);
+    assert!(!report.cancelled && report.verdict.is_none());
+    let error = report
+        .error
+        .as_deref()
+        .expect("the missing entry is an error");
+    assert!(error.contains("dynamic-functional(one-to-one)"), "{error}");
+
+    let mixed = verify_portfolio(
+        &static_qpe,
+        &iqpe,
+        &PortfolioConfig {
+            schemes: vec![unregistered, Scheme::DynamicFunctional(Strategy::Aligned)],
+            ..Default::default()
+        },
+    );
+    assert_eq!(mixed.verdict, Equivalence::Equivalent);
+    assert_eq!(
+        mixed.winner,
+        Some(Scheme::DynamicFunctional(Strategy::Aligned))
+    );
 }
 
 // ---------------------------------------------------------------------------

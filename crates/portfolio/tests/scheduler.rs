@@ -179,7 +179,7 @@ fn empty_stats_degrade_predicted_to_exact_race_plan() {
         vec![
             Scheme::FixedInput,
             Scheme::DynamicFunctional(Strategy::Proportional),
-            Scheme::DynamicFunctional(Strategy::OneToOne),
+            Scheme::DynamicFunctional(Strategy::Aligned),
             Scheme::DynamicFunctional(Strategy::Reference),
         ]
     );
@@ -199,7 +199,7 @@ fn tiny_pairs_get_a_sequential_plan_under_both_policies() {
         vec![
             Scheme::DynamicFunctional(Strategy::Proportional),
             Scheme::FixedInput,
-            Scheme::DynamicFunctional(Strategy::OneToOne),
+            Scheme::DynamicFunctional(Strategy::Aligned),
             Scheme::DynamicFunctional(Strategy::Reference),
         ]
     );

@@ -1,33 +1,43 @@
 //! Integration tests of the verification service core: admission control,
 //! cancellation-on-disconnect, and pool hygiene after a client dies.
 
+use algorithms::{qft, qpe};
+use circuit::QuantumCircuit;
 use portfolio::service::{RejectReason, Request, ServiceConfig, Source, VerificationService};
 use std::time::Duration;
 
-fn inline_pair(n: usize) -> (String, String) {
-    (
-        circuit::qasm::to_qasm(&algorithms::qft::qft_static(n, None, true)),
-        circuit::qasm::to_qasm(&algorithms::qft::qft_dynamic(n)),
-    )
-}
-
-fn request(n: usize, name: &str) -> Request {
-    let (left, right) = inline_pair(n);
+fn inline_request(left: &QuantumCircuit, right: &QuantumCircuit, name: &str) -> Request {
     Request {
         name: Some(name.to_string()),
-        left: Source::Inline(left),
-        right: Source::Inline(right),
+        left: Source::Inline(circuit::qasm::to_qasm(left)),
+        right: Source::Inline(circuit::qasm::to_qasm(right)),
         deadline: None,
         node_limit: None,
-        width_hint: Some(n),
+        width_hint: Some(left.num_qubits()),
     }
 }
 
 /// A heavy enough pair that a race cannot finish before the test cancels
-/// it, but which unwinds quickly once the token trips.
-const HEAVY: usize = 18;
+/// it, but which unwinds quickly once the token trips: a 25-qubit QPE
+/// against an IQPE of a phase with one bit flipped. The miter leaves the
+/// identity at the first differing kick-back, and neither the functional
+/// schedules nor the fixed-input extraction refute it within seconds.
+fn heavy(name: &str) -> Request {
+    let m = 24;
+    let bits: Vec<bool> = (0..m).map(|i| i % 3 == 1).collect();
+    let mut twin = bits.clone();
+    twin[m / 2] = !twin[m / 2];
+    inline_request(
+        &qpe::qpe_static(qpe::phase_from_bits(&bits), m, true),
+        &qpe::iqpe_dynamic(qpe::phase_from_bits(&twin), m),
+        name,
+    )
+}
+
 /// A light pair for tests that want completions, not longevity.
-const LIGHT: usize = 6;
+fn light(name: &str) -> Request {
+    inline_request(&qft::qft_static(6, None, true), &qft::qft_dynamic(6), name)
+}
 
 fn config(workers: usize, max_queue: usize) -> ServiceConfig {
     ServiceConfig {
@@ -40,7 +50,7 @@ fn config(workers: usize, max_queue: usize) -> ServiceConfig {
 #[test]
 fn dropped_handle_cancels_the_inflight_race_and_the_pool_stays_clean() {
     let service = VerificationService::start(config(1, 4));
-    let handle = service.submit(request(HEAVY, "disconnect")).unwrap();
+    let handle = service.submit(heavy("disconnect")).unwrap();
     let token = handle.cancel_token().clone();
     // Give the worker a moment to dispatch so the cancel lands mid-race at
     // least some of the time (the queued-cancel path is tested separately).
@@ -53,7 +63,7 @@ fn dropped_handle_cancels_the_inflight_race_and_the_pool_stays_clean() {
     );
 
     // The cancelled race must unwind promptly — not run to completion,
-    // which for a QFT-18 race would take far longer than this timeout.
+    // which for this QPE twin would take far longer than this timeout.
     assert!(
         service.wait_idle(Duration::from_secs(60)),
         "cancelled race did not unwind in time"
@@ -73,7 +83,7 @@ fn dropped_handle_cancels_the_inflight_race_and_the_pool_stays_clean() {
 #[test]
 fn explicit_cancel_is_reported_in_the_outcome() {
     let service = VerificationService::start(config(1, 4));
-    let handle = service.submit(request(HEAVY, "cancel-me")).unwrap();
+    let handle = service.submit(heavy("cancel-me")).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     handle.cancel();
     let outcome = handle.wait();
@@ -89,9 +99,9 @@ fn explicit_cancel_is_reported_in_the_outcome() {
 fn requests_cancelled_while_queued_never_dispatch() {
     let service = VerificationService::start(config(1, 4));
     // Occupy the single worker...
-    let blocker = service.submit(request(HEAVY, "blocker")).unwrap();
+    let blocker = service.submit(heavy("blocker")).unwrap();
     // ...queue a second request and kill it before it can dispatch.
-    let queued = service.submit(request(HEAVY, "queued")).unwrap();
+    let queued = service.submit(heavy("queued")).unwrap();
     let queued_token = queued.cancel_token().clone();
     drop(queued);
     assert!(queued_token.is_cancelled());
@@ -108,9 +118,9 @@ fn requests_cancelled_while_queued_never_dispatch() {
 #[test]
 fn admission_control_rejects_when_saturated_and_after_drain() {
     let service = VerificationService::start(config(1, 0));
-    let inflight = service.submit(request(HEAVY, "occupant")).unwrap();
+    let inflight = service.submit(heavy("occupant")).unwrap();
     // Capacity is workers + max_queue = 1: the next submit must bounce.
-    let rejection = service.submit(request(LIGHT, "overflow"));
+    let rejection = service.submit(light("overflow"));
     match rejection {
         Err(RejectReason::Saturated { capacity, .. }) => assert_eq!(capacity, 1),
         other => panic!("expected Saturated, got {other:?}"),
@@ -120,7 +130,7 @@ fn admission_control_rejects_when_saturated_and_after_drain() {
     inflight.cancel();
     let _ = inflight.wait();
     service.drain();
-    match service.submit(request(LIGHT, "late")) {
+    match service.submit(light("late")) {
         Err(RejectReason::Draining) => {}
         other => panic!("expected Draining, got {other:?}"),
     }
@@ -129,10 +139,10 @@ fn admission_control_rejects_when_saturated_and_after_drain() {
 #[test]
 fn completed_requests_fold_telemetry_and_count_warm_reuse() {
     let service = VerificationService::start(config(1, 8));
-    let first = service.submit(request(LIGHT, "a")).unwrap().wait();
+    let first = service.submit(light("a")).unwrap().wait();
     assert!(first.report.considered_equivalent);
     assert!(!first.cancelled);
-    let second = service.submit(request(LIGHT, "b")).unwrap().wait();
+    let second = service.submit(light("b")).unwrap().wait();
     assert!(
         second.report.warm_store,
         "same width must hit the warm shelf"
