@@ -1,37 +1,27 @@
-//! Kernel-layer microbenchmarks and the cross-backend parity smoke.
+//! The dot-conj kernel's cross-backend parity smoke and microbenchmark.
 //!
-//! Three measurements, written to `BENCH_kernels.json` at the repository
-//! root:
+//! `dot_conj_lanes` (the fidelity inner product of `sim`'s small-state
+//! comparison) is timed with the runtime-dispatched backend against the
+//! always-compiled scalar fallback on the same lanes, and the result is
+//! written to `BENCH_kernels.json` at the repository root.
 //!
-//! * `mul_lanes` — batched SoA complex multiply, runtime-dispatched backend
-//!   vs the always-compiled scalar fallback on the same lanes,
-//! * `batch_intern` — `ComplexTable::lookup_batch` vs the equivalent
-//!   scalar `lookup` loop,
-//! * `dense_apply` — a full QFT-10 reference-strategy miter with the dense
-//!   terminal-case cutoff at its default (3 levels) vs disabled (0).
-//!
-//! Before timing anything, the bench *asserts* parity: dispatched kernels
-//! must be bit-identical to the scalar fallback, batch interning must
-//! produce the same `CIdx` sequence as scalar interning, and the miter
-//! verdict must not depend on the dense cutoff. CI runs this bench twice —
-//! once with `--features scalar-kernels`, once default — so a backend whose
+//! Before timing anything, the bench *asserts* that the dispatched kernel is
+//! bit-identical to the scalar fallback. CI runs this bench twice — once
+//! with `--features scalar-kernels`, once default — so a backend whose
 //! results drift from the fallback fails the build, not just the artifact.
 
-use bench::{emit, min_wall_time};
+use bench::emit;
 use dd::kernels;
-use dd::{Budget, Complex, ComplexTable, MemoryConfig, TOLERANCE};
-use qcec::{check_functional_equivalence_with, Configuration, Equivalence, Strategy};
 
 const LANES: usize = 1024;
-const MUL_REPS: usize = 2048;
-const INTERN_VALUES: usize = 4096;
+const REPS: usize = 2048;
 const ROUNDS: usize = 21;
 
 /// Interleaved min-of-`ROUNDS` for a dispatched/scalar kernel pair.
 ///
-/// The two bursts alternate inside every round, so load spikes on this
-/// (noisy, single-core) machine hit both backends roughly equally instead
-/// of biasing whichever ran second; the minima are then comparable.
+/// The two bursts alternate inside every round, so load spikes on a noisy
+/// machine hit both backends roughly equally instead of biasing whichever
+/// ran second; the minima are then comparable.
 fn interleaved_min(mut burst: impl FnMut(bool)) -> (f64, f64) {
     let (mut best_d, mut best_s) = (f64::MAX, f64::MAX);
     for _ in 0..ROUNDS {
@@ -62,121 +52,25 @@ fn filled(rng: &mut Rng, n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.next_f64()).collect()
 }
 
-/// Panics unless the dispatched kernels are bit-identical to the scalar
-/// fallback on `LANES` pseudo-random lanes. This is the CI smoke: run once
-/// per backend, it pins AVX2 (or any future backend) to the scalar
-/// semantics exactly — same operation order, no FMA contraction.
+/// Panics unless the dispatched kernel is bit-identical to the scalar
+/// fallback on every prefix length up to a few vector widths past a block
+/// boundary, and on all `LANES` lanes. This is the CI smoke: run once per
+/// backend, it pins AVX2 (or any future backend) to the scalar semantics
+/// exactly — same operation order, no FMA contraction.
 fn assert_kernel_parity(ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) {
-    let n = ar.len();
-    let (mut dr, mut di) = (vec![0.0; n], vec![0.0; n]);
-    let (mut sr, mut si) = (vec![0.0; n], vec![0.0; n]);
-
-    kernels::mul_lanes(ar, ai, br, bi, &mut dr, &mut di);
-    kernels::mul_lanes_scalar(ar, ai, br, bi, &mut sr, &mut si);
-    assert_bits_eq("mul_lanes", &dr, &di, &sr, &si);
-
-    kernels::add_lanes(ar, ai, br, bi, &mut dr, &mut di);
-    kernels::add_lanes_scalar(ar, ai, br, bi, &mut sr, &mut si);
-    assert_bits_eq("add_lanes", &dr, &di, &sr, &si);
-
-    kernels::div_lanes(ar, ai, br, bi, &mut dr, &mut di);
-    kernels::div_lanes_scalar(ar, ai, br, bi, &mut sr, &mut si);
-    assert_bits_eq("div_lanes", &dr, &di, &sr, &si);
-
-    kernels::conj_lanes(ar, ai, &mut dr, &mut di);
-    kernels::conj_lanes_scalar(ar, ai, &mut sr, &mut si);
-    assert_bits_eq("conj_lanes", &dr, &di, &sr, &si);
-
-    let scale = Complex::new(std::f64::consts::FRAC_1_SQRT_2, -0.5);
-    dr.copy_from_slice(br);
-    di.copy_from_slice(bi);
-    sr.copy_from_slice(br);
-    si.copy_from_slice(bi);
-    kernels::axpy_lanes(&mut dr, &mut di, ar, ai, scale);
-    kernels::axpy_lanes_scalar(&mut sr, &mut si, ar, ai, scale);
-    assert_bits_eq("axpy_lanes", &dr, &di, &sr, &si);
-
-    let dot = kernels::dot_conj_lanes(ar, ai, br, bi);
-    let dot_scalar = kernels::dot_conj_lanes_scalar(ar, ai, br, bi);
-    assert!(
-        dot.re.to_bits() == dot_scalar.re.to_bits() && dot.im.to_bits() == dot_scalar.im.to_bits(),
-        "dot_conj_lanes: dispatched {dot:?} != scalar {dot_scalar:?}"
-    );
-
-    println!(
-        "kernel parity: {} backend bit-identical to scalar on {n} lanes",
-        kernels::backend().name()
-    );
-}
-
-fn assert_bits_eq(kernel: &str, dr: &[f64], di: &[f64], sr: &[f64], si: &[f64]) {
-    for i in 0..dr.len() {
+    for n in (0..=13).chain([ar.len()]) {
+        let dot = kernels::dot_conj_lanes(&ar[..n], &ai[..n], &br[..n], &bi[..n]);
+        let scalar = kernels::dot_conj_lanes_scalar(&ar[..n], &ai[..n], &br[..n], &bi[..n]);
         assert!(
-            dr[i].to_bits() == sr[i].to_bits() && di[i].to_bits() == si[i].to_bits(),
-            "{kernel}: lane {i} dispatched ({}, {}) != scalar ({}, {})",
-            dr[i],
-            di[i],
-            sr[i],
-            si[i]
+            dot.re.to_bits() == scalar.re.to_bits() && dot.im.to_bits() == scalar.im.to_bits(),
+            "dot_conj_lanes on {n} lanes: dispatched {dot:?} != scalar {scalar:?}"
         );
     }
-}
-
-/// Panics unless `lookup_batch` interned exactly the same `CIdx` sequence
-/// as scalar `lookup` on a stream mixing random values with near-bucket-
-/// boundary jitters (the adversarial zone for the 9-bucket probe).
-fn assert_intern_parity(values: &[Complex]) {
-    let mut scalar_table = ComplexTable::new();
-    let scalar: Vec<_> = values.iter().map(|&v| scalar_table.lookup(v)).collect();
-    let mut batch_table = ComplexTable::new();
-    let mut batch = Vec::new();
-    batch_table.lookup_batch(values, &mut batch);
-    assert_eq!(
-        scalar, batch,
-        "lookup_batch interned a different CIdx sequence than scalar lookup"
-    );
-    assert_eq!(scalar_table.len(), batch_table.len());
     println!(
-        "intern parity: batch and scalar interning agree on {} values",
-        values.len()
+        "kernel parity: {} backend bit-identical to scalar on up to {} lanes",
+        kernels::backend().name(),
+        ar.len()
     );
-}
-
-fn intern_stream(rng: &mut Rng) -> Vec<Complex> {
-    (0..INTERN_VALUES)
-        .map(|i| {
-            let base = Complex::new(rng.next_f64(), rng.next_f64());
-            match i % 4 {
-                // Every fourth value sits within a fraction of the merge
-                // tolerance of an earlier bucket corner.
-                0 => Complex::new(
-                    0.5 + (i % 7) as f64 * 0.3 * TOLERANCE,
-                    0.25 - (i % 5) as f64 * 0.3 * TOLERANCE,
-                ),
-                _ => base,
-            }
-        })
-        .collect()
-}
-
-fn dense_apply_secs(cutoff: u32) -> (f64, Equivalence) {
-    let circuit = algorithms::qft::qft_static(10, None, false);
-    let config = Configuration {
-        strategy: Strategy::Reference,
-        memory: MemoryConfig {
-            dense_cutoff: cutoff,
-            ..MemoryConfig::default()
-        },
-        ..Configuration::default()
-    };
-    let check = || {
-        check_functional_equivalence_with(&circuit, &circuit, &config, &Budget::unlimited())
-            .expect("qft-10 reference miter fits in memory")
-            .equivalence
-    };
-    let verdict = check();
-    let secs = min_wall_time(3, check).as_secs_f64();
-    (secs, verdict)
 }
 
 fn main() {
@@ -186,27 +80,14 @@ fn main() {
     let br = filled(&mut rng, LANES);
     let bi = filled(&mut rng, LANES);
 
-    // Parity smokes first: no point timing a wrong kernel.
+    // Parity smoke first: no point timing a wrong kernel.
     assert_kernel_parity(&ar, &ai, &br, &bi);
-    assert_intern_parity(&intern_stream(&mut rng));
 
-    // mul_lanes: dispatched backend vs scalar fallback on identical lanes.
-    let (mut or, mut oi) = (vec![0.0; LANES], vec![0.0; LANES]);
-    let (mul_secs, mul_scalar_secs) = interleaved_min(|dispatched| {
-        for _ in 0..MUL_REPS {
-            if dispatched {
-                kernels::mul_lanes(&ar, &ai, &br, &bi, &mut or, &mut oi);
-            } else {
-                kernels::mul_lanes_scalar(&ar, &ai, &br, &bi, &mut or, &mut oi);
-            }
-        }
-    });
-
-    // dot_conj: the fidelity inner product — a reduction, so the scalar
-    // fallback cannot autovectorize it (strict FP summation order) and the
-    // explicit 4-accumulator AVX2 kernel shows the full SIMD headroom.
+    // A reduction, so the scalar fallback cannot autovectorize it (strict FP
+    // summation order) and the explicit 4-accumulator AVX2 kernel shows the
+    // full SIMD headroom.
     let (dot_secs, dot_scalar_secs) = interleaved_min(|dispatched| {
-        for _ in 0..MUL_REPS {
+        for _ in 0..REPS {
             std::hint::black_box(if dispatched {
                 kernels::dot_conj_lanes(&ar, &ai, &br, &bi)
             } else {
@@ -215,101 +96,32 @@ fn main() {
         }
     });
 
-    // batch interning vs a scalar lookup loop on the adversarial stream.
-    let stream = intern_stream(&mut rng);
-    let mut idxs = Vec::new();
-    let (batch_secs, batch_scalar_secs) = interleaved_min(|dispatched| {
-        let mut table = ComplexTable::new();
-        if dispatched {
-            idxs.clear();
-            table.lookup_batch(&stream, &mut idxs);
-        } else {
-            for &v in &stream {
-                std::hint::black_box(table.lookup(v));
-            }
-        }
-    });
-
-    // Dense terminal-case apply: QFT-10 reference miter, default cutoff vs
-    // dense path disabled. Same verdict required.
-    let (dense_secs, dense_verdict) = dense_apply_secs(3);
-    let (recursive_secs, recursive_verdict) = dense_apply_secs(0);
-    assert_eq!(
-        dense_verdict, recursive_verdict,
-        "dense cutoff changed the miter verdict"
-    );
-
     let backend = kernels::backend().name();
     println!(
-        "mul_lanes[{backend}]: {:.3}ms vs scalar {:.3}ms ({:.2}x) on {LANES} lanes x {MUL_REPS}",
-        mul_secs * 1e3,
-        mul_scalar_secs * 1e3,
-        mul_scalar_secs / mul_secs
-    );
-    println!(
-        "dot_conj_lanes[{backend}]: {:.3}ms vs scalar {:.3}ms ({:.2}x) on {LANES} lanes x {MUL_REPS}",
+        "dot_conj_lanes[{backend}]: {:.3}ms vs scalar {:.3}ms ({:.2}x) on {LANES} lanes x {REPS}",
         dot_secs * 1e3,
         dot_scalar_secs * 1e3,
         dot_scalar_secs / dot_secs
     );
-    println!(
-        "batch_intern[{backend}]: {:.3}ms vs scalar {:.3}ms ({:.2}x) on {INTERN_VALUES} values",
-        batch_secs * 1e3,
-        batch_scalar_secs * 1e3,
-        batch_scalar_secs / batch_secs
-    );
-    println!(
-        "dense_apply[{backend}]: cutoff 3 {:.3}s vs cutoff 0 {:.3}s ({:.2}x) on qft-10 reference",
-        dense_secs,
-        recursive_secs,
-        recursive_secs / dense_secs
-    );
 
-    let kernel_rows = [
-        format!(
-            "    {{ \"kernel\": \"mul_lanes\", \"backend\": \"{backend}\", \
-             \"lanes\": {LANES}, \"reps\": {MUL_REPS}, \"secs\": {mul_secs:.6}, \
-             \"scalar_secs\": {mul_scalar_secs:.6}, \"speedup\": {:.4} }}",
-            mul_scalar_secs / mul_secs
-        ),
-        format!(
-            "    {{ \"kernel\": \"dot_conj_lanes\", \"backend\": \"{backend}\", \
-             \"lanes\": {LANES}, \"reps\": {MUL_REPS}, \"secs\": {dot_secs:.6}, \
-             \"scalar_secs\": {dot_scalar_secs:.6}, \"speedup\": {:.4} }}",
-            dot_scalar_secs / dot_secs
-        ),
-        format!(
-            "    {{ \"kernel\": \"batch_intern\", \"backend\": \"{backend}\", \
-             \"values\": {INTERN_VALUES}, \"secs\": {batch_secs:.6}, \
-             \"scalar_secs\": {batch_scalar_secs:.6}, \"speedup\": {:.4} }}",
-            batch_scalar_secs / batch_secs
-        ),
-        format!(
-            "    {{ \"kernel\": \"dense_apply\", \"backend\": \"{backend}\", \
-             \"instance\": \"qft-10 reference miter\", \"cutoff\": 3, \
-             \"secs\": {dense_secs:.6}, \"scalar_secs\": {recursive_secs:.6}, \
-             \"speedup\": {:.4} }}",
-            recursive_secs / dense_secs
-        ),
-    ];
+    let row = format!(
+        "    {{ \"kernel\": \"dot_conj_lanes\", \"backend\": \"{backend}\", \
+         \"lanes\": {LANES}, \"reps\": {REPS}, \"secs\": {dot_secs:.6}, \
+         \"scalar_secs\": {dot_scalar_secs:.6}, \"speedup\": {:.4} }}",
+        dot_scalar_secs / dot_secs
+    );
     let json = emit::envelope(
         "kernels",
-        "SoA kernel microbenchmarks: dispatched backend vs scalar fallback (interleaved \
-         min-of-21), and the dense terminal-case miter (min-of-3)",
+        "dot-conj kernel microbenchmark: dispatched backend vs scalar fallback (interleaved \
+         min-of-21)",
         &[
             "single machine, min-of-N wall times: cross-machine comparisons are meaningless, \
              same-machine ratios are the signal",
-            "mul_lanes compares AVX2 dispatch to the *autovectorized* scalar fallback and is \
-             store-port-bound, so its ratio is small and honest; dot_conj_lanes is where the \
-             SIMD headroom shows, because strict FP summation order keeps the scalar reduction \
-             from autovectorizing",
-            "dense_apply 'scalar_secs' is the recursive path (cutoff 0), same backend: it \
-             measures the dense rewrite, not SIMD width — on structured miters the memoized \
-             recursion wins and the ratio is below 1",
-            "batch_intern times a cold table per run; warm-table batches hit the memo layer \
-             and look faster",
+            "dot_conj_lanes shows SIMD headroom because strict FP summation order keeps the \
+             scalar reduction from autovectorizing; under --features scalar-kernels both sides \
+             run the same scalar loop, so a ratio away from 1 there is timing noise",
         ],
-        &[("kernels", format!("[\n{}\n  ]", kernel_rows.join(",\n")))],
+        &[("kernels", format!("[\n{row}\n  ]"))],
     );
     emit::write_artifact("BENCH_kernels.json", &json);
 }

@@ -45,7 +45,7 @@ fn bench_portfolio_vs_single_schemes(c: &mut Criterion) {
         });
         for scheme in [
             Scheme::DynamicFunctional(Strategy::Proportional),
-            Scheme::DynamicFunctional(Strategy::Reference),
+            Scheme::DynamicFunctional(Strategy::Aligned),
             Scheme::FixedInput,
         ] {
             group.bench_with_input(BenchmarkId::new(scheme.name(), n), &n, |b, _| {
@@ -170,15 +170,14 @@ fn bench_shared_vs_private(c: &mut Criterion) {
              {shared_secs:.6}, \"private_secs\": {private_secs:.6}, \"speedup\": {:.4}, \
              \"cross_thread_hit_rate\": {:.6}, \"cross_thread_hits\": {}, \
              \"shared_peak_nodes\": {}, \"shared_allocated_nodes\": {}, \
-             \"shard_contention_seconds\": {:.6}, \"mirror_invalidations\": {}, \
-             \"epoch_pins\": {}, \"retired_generations\": {}, \"winner\": \"{}\" }}",
+             \"shard_contention_seconds\": {:.6}, \"epoch_pins\": {}, \
+             \"retired_generations\": {}, \"winner\": \"{}\" }}",
             private_secs / shared_secs,
             store.cross_thread_hit_rate,
             store.cross_thread_hits,
             store.peak_nodes,
             store.allocated_nodes,
             store.shard_contention_seconds,
-            store.mirror_invalidations,
             store.epoch_pins,
             store.retired_generations,
             instrumented.winner.map(|s| s.name()).unwrap_or("-"),
@@ -196,7 +195,7 @@ fn bench_shared_vs_private(c: &mut Criterion) {
              invisible here, so low rates do not mean no sharing",
             "shared_peak_nodes is a store-lifetime gauge, not a per-race delta: a warm store \
              inflates it",
-            "contention/invalidation counters come from the single instrumented run, not the \
+            "contention and epoch counters come from the single instrumented run, not the \
              timed min-of-7 — one barrier landing differently can move them",
         ],
         &[("instances", format!("[\n{}\n  ]", rows.join(",\n")))],
@@ -378,24 +377,28 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
          {race_launches_total}"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"portfolio_scheduler\",\n  \"description\": \"telemetry-predicted \
-         top-k launches vs race-everything on QFT/QPE pairs (min of 3 runs; stats warmed by one \
-         recorded race per pair)\",\n  \"caveats\": [\n    \"small n: three pairs on one \
-         machine — the launch-count saving generalises, the wall-time ratios may not\",\n    \
-         \"stats are warmed by exactly one recorded race per pair; a long-lived store sees \
-         noisier history and predicts worse\",\n    \"escalation reasons (stall vs \
-         inconclusive-drain) depend on host scheduling and can flip between runs under load\"\n  \
-         ],\n  \"race_launches_total\": {race_launches_total},\n  \
-         \"predicted_launches_total\": {predicted_launches_total},\n  \"instances\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+    let json = bench::emit::envelope(
+        "portfolio_scheduler",
+        "telemetry-predicted top-k launches vs race-everything on QFT/QPE pairs (min of 3 runs; \
+         stats warmed by one recorded race per pair)",
+        &[
+            "small n: three pairs on one machine — the launch-count saving generalises, the \
+             wall-time ratios may not",
+            "stats are warmed by exactly one recorded race per pair; a long-lived store sees \
+             noisier history and predicts worse",
+            "escalation reasons (stall vs inconclusive-drain) depend on host scheduling and can \
+             flip between runs under load",
+        ],
+        &[
+            ("race_launches_total", race_launches_total.to_string()),
+            (
+                "predicted_launches_total",
+                predicted_launches_total.to_string(),
+            ),
+            ("instances", format!("[\n{}\n  ]", rows.join(",\n"))),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scheduler.json");
-    if let Err(error) = std::fs::write(path, &json) {
-        eprintln!("portfolio_scheduler: cannot write {path}: {error}");
-    } else {
-        println!("portfolio_scheduler: wrote {path}");
-    }
+    bench::emit::write_artifact("BENCH_scheduler.json", &json);
 
     // Criterion timings for the grep-friendly log.
     let mut group = c.benchmark_group("portfolio_scheduler");

@@ -24,7 +24,6 @@ use crate::cache::{CacheCounters, LossyCache, UniqueTable};
 use crate::complex::{Complex, TOLERANCE};
 use crate::gates::{self, GateMatrix};
 use crate::hash::{fx_hash, FxHashMap};
-use crate::kernels;
 use crate::limits::{Budget, LimitExceeded};
 use crate::node::{MEdge, MNode, NodeId, VEdge, VNode};
 use crate::store::{SharedHandle, SharedStore};
@@ -165,31 +164,10 @@ pub struct MemoryConfig {
     /// reclaims less than a quarter of the threshold the threshold doubles,
     /// so workloads with mostly-live diagrams do not thrash.
     pub gc_threshold: Option<usize>,
-    /// Level at or below which the *vector* recursions (mat·vec apply and
-    /// vector add) drop out of node-at-a-time recursion into the dense
-    /// terminal-case kernel ([`kernels`](crate::kernels)): subtrees spanning
-    /// at most this many qubit levels are expanded to contiguous SoA
-    /// amplitude blocks, the operation runs as batched lane arithmetic, and
-    /// the result is re-interned in one batch. Matrix·matrix and matrix-add
-    /// recursions stay node-at-a-time: their dense blocks are 4^levels wide,
-    /// and measurement showed the expand/re-intern round trip losing ~3x to
-    /// recursion on structured miters. `0` disables the dense path entirely;
-    /// values above [`DENSE_CUTOFF_MAX`] are clamped at package
-    /// construction.
-    pub dense_cutoff: u32,
 }
 
 /// Default automatic-GC trigger (live nodes across both arenas).
 pub const DEFAULT_GC_THRESHOLD: usize = 1 << 18;
-
-/// Default dense terminal-case cutoff (levels; 8 amplitudes / 64 matrix
-/// entries per dense block).
-pub const DEFAULT_DENSE_CUTOFF: u32 = 3;
-
-/// Largest honoured [`MemoryConfig::dense_cutoff`]. Blocks above 2^6
-/// amplitudes lose more to expansion and re-interning than the lane
-/// arithmetic saves, and the per-package dense scratch grows as 4^cutoff.
-pub const DENSE_CUTOFF_MAX: u32 = 6;
 
 impl Default for MemoryConfig {
     fn default() -> Self {
@@ -198,7 +176,6 @@ impl Default for MemoryConfig {
             unary_cache_bits: 14,
             gate_cache_bits: 12,
             gc_threshold: Some(DEFAULT_GC_THRESHOLD),
-            dense_cutoff: DEFAULT_DENSE_CUTOFF,
         }
     }
 }
@@ -337,20 +314,6 @@ pub(crate) struct GateKey {
 ///   (collection only ever happens at the entry of a top-level operation,
 ///   never in the middle of a recursion).
 ///
-/// Reusable buffers of the dense terminal-case kernels: operand/output SoA
-/// lanes plus the interleave + interning staging areas. Taken out of the
-/// package (`std::mem::take`) for the duration of one dense apply — the
-/// dense paths never nest, so one set suffices.
-#[derive(Debug, Default)]
-struct DenseScratch {
-    a_re: Vec<f64>,
-    a_im: Vec<f64>,
-    b_re: Vec<f64>,
-    b_im: Vec<f64>,
-    vals: Vec<Complex>,
-    idxs: Vec<CIdx>,
-}
-
 /// **Contract for callers:** an edge merely held in a variable across *other*
 /// package operations is not a root. On a package that may collect (the
 /// default), protect such edges and unprotect them when done; edges passed
@@ -377,18 +340,6 @@ pub struct DdPackage {
     vnorm_cache: LossyCache<NodeId, f64>,
     gate_cache: LossyCache<GateKey, MEdge>,
     ident_cache: Vec<MEdge>,
-    /// Effective dense terminal-case cutoff in levels (`0` = disabled; see
-    /// [`MemoryConfig::dense_cutoff`]).
-    dense_cutoff: usize,
-    /// Dense SoA expansions of matrix node functions, keyed by the node the
-    /// recursion met — the same id the gate cache hands out, so repeated
-    /// applications of one gate expand its block (twiddles included) once.
-    /// Node-keyed like the compute tables, so cleared with them after GC.
-    ct_dense_mat: LossyCache<NodeId, u32>,
-    /// Pool behind `ct_dense_mat`: column-major `(re, im)` lanes.
-    dense_mats: Vec<(Vec<f64>, Vec<f64>)>,
-    dense_scratch: DenseScratch,
-    dense_applies: u64,
     vroots: FxHashMap<u32, u32>,
     mroots: FxHashMap<u32, u32>,
     /// Weight indices of protected edges (refcounted): roots of the
@@ -473,11 +424,6 @@ impl DdPackage {
             vnorm_cache: LossyCache::new("vnorm", unary),
             gate_cache: LossyCache::new("gate", config.gate_cache_bits),
             ident_cache: vec![MEdge::ONE],
-            dense_cutoff: config.dense_cutoff.min(DENSE_CUTOFF_MAX) as usize,
-            ct_dense_mat: LossyCache::new("dense_mat", 10),
-            dense_mats: Vec::new(),
-            dense_scratch: DenseScratch::default(),
-            dense_applies: 0,
             vroots: FxHashMap::default(),
             mroots: FxHashMap::default(),
             wroots: FxHashMap::default(),
@@ -650,10 +596,6 @@ impl DdPackage {
         self.ct_inner.clear();
         self.ct_trace.clear();
         self.vnorm_cache.clear();
-        // Dense expansions are node-keyed too; the cache and its backing
-        // pool are cleared together so an index can never dangle.
-        self.ct_dense_mat.clear();
-        self.dense_mats.clear();
     }
 
     // ------------------------------------------------------------------
@@ -1394,7 +1336,6 @@ impl DdPackage {
         let gate = self.gate_cache.counters();
         obs::metrics::add(obs::metrics::DD_GATE_LOOKUPS, gate.lookups);
         obs::metrics::add(obs::metrics::DD_GATE_HITS, gate.hits);
-        obs::metrics::add(obs::metrics::DD_DENSE_APPLIES, self.dense_applies);
     }
 
     // ------------------------------------------------------------------
@@ -1757,24 +1698,26 @@ impl DdPackage {
             "dense expansion is limited to 24 qubits"
         );
         let mut out = vec![Complex::ZERO; 1usize << self.n_qubits];
-        self.amplitudes_rec(v, self.n_qubits, Complex::ONE, 0, &mut out);
+        self.amplitudes_rec(v, self.n_qubits, Complex::ONE, 0, &mut |i, a| out[i] = a);
         out
     }
 
-    fn amplitudes_rec(
+    /// Hands every non-zero amplitude of `e` (scaled by `acc`, basis index
+    /// offset by `offset`) to `out`.
+    fn amplitudes_rec<F: FnMut(usize, Complex)>(
         &self,
         e: VEdge,
         level: usize,
         acc: Complex,
         offset: usize,
-        out: &mut [Complex],
+        out: &mut F,
     ) {
         if e.is_zero() {
             return;
         }
         let acc = acc * self.cval(e.weight);
         if level == 0 {
-            out[offset] = acc;
+            out(offset, acc);
             return;
         }
         let node = self.vnode(e.node);
@@ -1803,7 +1746,10 @@ impl DdPackage {
         re.resize(len, 0.0);
         im.clear();
         im.resize(len, 0.0);
-        self.expand_vedge_rec(v, self.n_qubits, Complex::ONE, 0, re, im);
+        self.amplitudes_rec(v, self.n_qubits, Complex::ONE, 0, &mut |i, a| {
+            re[i] = a.re;
+            im[i] = a.im;
+        });
     }
 
     /// Amplitude of a single computational basis state.
@@ -2092,243 +2038,6 @@ impl DdPackage {
     // Arithmetic
     // ------------------------------------------------------------------
 
-    // ------------------------------------------------------------------
-    // Dense terminal-case kernels
-    // ------------------------------------------------------------------
-
-    /// Batch-interns `values`, appending one index per value to `out`.
-    ///
-    /// Private packages use [`ComplexTable::lookup_batch`]; shared
-    /// workspaces publish through the store, paying the table lock once per
-    /// batch instead of once per weight. Either way the index sequence is
-    /// identical to interning the values one at a time.
-    pub fn intern_batch(&mut self, values: &[Complex], out: &mut Vec<CIdx>) {
-        match &mut self.shared {
-            None => self.ctab.lookup_batch(values, out),
-            Some(handle) => handle.intern_batch(values, out),
-        }
-    }
-
-    /// Expands the *node function* of a vector edge (top weight included)
-    /// into zero-initialised SoA lanes.
-    fn expand_vedge_rec(
-        &self,
-        e: VEdge,
-        level: usize,
-        acc: Complex,
-        offset: usize,
-        re: &mut [f64],
-        im: &mut [f64],
-    ) {
-        if e.is_zero() {
-            return;
-        }
-        let acc = acc * self.cval(e.weight);
-        if level == 0 {
-            re[offset] = acc.re;
-            im[offset] = acc.im;
-            return;
-        }
-        let node = self.vnode(e.node);
-        debug_assert_eq!(node.var as usize, level - 1);
-        let half = 1usize << (level - 1);
-        self.expand_vedge_rec(node.children[0], level - 1, acc, offset, re, im);
-        self.expand_vedge_rec(node.children[1], level - 1, acc, offset + half, re, im);
-    }
-
-    /// Column-major matrix expansion into zero-initialised SoA lanes: entry
-    /// `(row, col)` lands in lane `col * n + row`, so one matrix column is
-    /// one contiguous lane slice (the stride the butterfly accumulation
-    /// streams over).
-    #[allow(clippy::too_many_arguments)]
-    fn expand_medge_rec(
-        &self,
-        e: MEdge,
-        level: usize,
-        acc: Complex,
-        row: usize,
-        col: usize,
-        n: usize,
-        re: &mut [f64],
-        im: &mut [f64],
-    ) {
-        if e.is_zero() {
-            return;
-        }
-        let acc = acc * self.cval(e.weight);
-        if level == 0 {
-            re[col * n + row] = acc.re;
-            im[col * n + row] = acc.im;
-            return;
-        }
-        let node = self.mnode(e.node);
-        debug_assert_eq!(node.var as usize, level - 1);
-        let half = 1usize << (level - 1);
-        for rbit in 0..2 {
-            for cbit in 0..2 {
-                self.expand_medge_rec(
-                    node.children[rbit * 2 + cbit],
-                    level - 1,
-                    acc,
-                    row + rbit * half,
-                    col + cbit * half,
-                    n,
-                    re,
-                    im,
-                );
-            }
-        }
-    }
-
-    /// Dense column-major expansion of a matrix *node function*, cached by
-    /// node id in a pool the node-keyed cache clear also empties. Repeated
-    /// applications of one cached gate diagram (the common case in QFT/QPE
-    /// tails) expand its block — phase twiddles included — exactly once.
-    fn dense_matrix(&mut self, node: NodeId, level: usize) -> usize {
-        if let Some(ix) = self.ct_dense_mat.get(&node) {
-            if (ix as usize) < self.dense_mats.len() {
-                return ix as usize;
-            }
-        }
-        let n = 1usize << level;
-        let mut re = vec![0.0; n * n];
-        let mut im = vec![0.0; n * n];
-        self.expand_medge_rec(
-            MEdge::new(node, CIdx::ONE),
-            level,
-            Complex::ONE,
-            0,
-            0,
-            n,
-            &mut re,
-            &mut im,
-        );
-        let ix = self.dense_mats.len();
-        self.dense_mats.push((re, im));
-        self.ct_dense_mat.insert(node, ix as u32);
-        ix
-    }
-
-    /// Interns the scratch's `vals` into its `idxs` in one batch.
-    fn intern_scratch(&mut self, s: &mut DenseScratch) {
-        let DenseScratch { vals, idxs, .. } = s;
-        idxs.clear();
-        match &mut self.shared {
-            None => self.ctab.lookup_batch(vals, idxs),
-            Some(handle) => handle.intern_batch(vals, idxs),
-        }
-    }
-
-    /// Rebuilds a normalized vector DD from batch-interned amplitudes
-    /// (bottom-up, same structure as `build_amplitudes_rec`).
-    fn build_vector_from_interned(&mut self, idxs: &[CIdx], level: usize) -> VEdge {
-        if level == 0 {
-            let w = idxs[0];
-            return if w.is_zero() {
-                VEdge::ZERO
-            } else {
-                VEdge::terminal(w)
-            };
-        }
-        let half = idxs.len() / 2;
-        let lo = self.build_vector_from_interned(&idxs[..half], level - 1);
-        let hi = self.build_vector_from_interned(&idxs[half..], level - 1);
-        self.make_vnode((level - 1) as u16, [lo, hi])
-    }
-
-    /// Dense terminal-case `m · v` over node functions (top weights are the
-    /// caller's business, exactly like the recursion this replaces): expand
-    /// both operands to SoA blocks, accumulate matrix columns scaled by the
-    /// vector's amplitudes, re-intern the result in one batch.
-    fn dense_mul_mat_vec(&mut self, m: NodeId, v: NodeId, level: usize) -> VEdge {
-        self.dense_applies += 1;
-        let len = 1usize << level;
-        let mat = self.dense_matrix(m, level);
-        let mut s = std::mem::take(&mut self.dense_scratch);
-        s.b_re.clear();
-        s.b_re.resize(len, 0.0);
-        s.b_im.clear();
-        s.b_im.resize(len, 0.0);
-        self.expand_vedge_rec(
-            VEdge::new(v, CIdx::ONE),
-            level,
-            Complex::ONE,
-            0,
-            &mut s.b_re,
-            &mut s.b_im,
-        );
-        s.a_re.clear();
-        s.a_re.resize(len, 0.0);
-        s.a_im.clear();
-        s.a_im.resize(len, 0.0);
-        let (mre, mim) = &self.dense_mats[mat];
-        for col in 0..len {
-            let amp = Complex::new(s.b_re[col], s.b_im[col]);
-            if amp.re == 0.0 && amp.im == 0.0 {
-                continue;
-            }
-            let lanes = col * len..(col + 1) * len;
-            kernels::axpy_lanes(
-                &mut s.a_re,
-                &mut s.a_im,
-                &mre[lanes.clone()],
-                &mim[lanes],
-                amp,
-            );
-        }
-        s.vals.clear();
-        for i in 0..len {
-            s.vals.push(Complex::new(s.a_re[i], s.a_im[i]));
-        }
-        self.intern_scratch(&mut s);
-        let result = self.build_vector_from_interned(&s.idxs, level);
-        self.dense_scratch = s;
-        result
-    }
-
-    /// Dense terminal-case `a + ratio · b` over vector node functions (the
-    /// same normalized sum the `ct_add_vec` entry for `(a, b, ratio)`
-    /// memoises).
-    fn dense_add_vectors(&mut self, a: NodeId, b: NodeId, ratio: CIdx, level: usize) -> VEdge {
-        self.dense_applies += 1;
-        let len = 1usize << level;
-        let ratio_val = self.cval(ratio);
-        let mut s = std::mem::take(&mut self.dense_scratch);
-        s.a_re.clear();
-        s.a_re.resize(len, 0.0);
-        s.a_im.clear();
-        s.a_im.resize(len, 0.0);
-        s.b_re.clear();
-        s.b_re.resize(len, 0.0);
-        s.b_im.clear();
-        s.b_im.resize(len, 0.0);
-        self.expand_vedge_rec(
-            VEdge::new(a, CIdx::ONE),
-            level,
-            Complex::ONE,
-            0,
-            &mut s.a_re,
-            &mut s.a_im,
-        );
-        self.expand_vedge_rec(
-            VEdge::new(b, CIdx::ONE),
-            level,
-            Complex::ONE,
-            0,
-            &mut s.b_re,
-            &mut s.b_im,
-        );
-        kernels::axpy_lanes(&mut s.a_re, &mut s.a_im, &s.b_re, &s.b_im, ratio_val);
-        s.vals.clear();
-        for i in 0..len {
-            s.vals.push(Complex::new(s.a_re[i], s.a_im[i]));
-        }
-        self.intern_scratch(&mut s);
-        let result = self.build_vector_from_interned(&s.idxs, level);
-        self.dense_scratch = s;
-        result
-    }
-
     /// Adds two vector decision diagrams.
     ///
     /// This is a garbage-collection safe point: `a` and `b` are protected
@@ -2370,18 +2079,13 @@ impl DdPackage {
         let an = self.vnode(a.node);
         let bn = self.vnode(b.node);
         debug_assert_eq!(an.var, bn.var, "vector addition level mismatch");
-        let level = an.var as usize + 1;
-        let result = if level <= self.dense_cutoff {
-            self.dense_add_vectors(a.node, b.node, ratio, level)
-        } else {
-            let mut children = [VEdge::ZERO; 2];
-            for (i, child) in children.iter_mut().enumerate() {
-                let bw = self.cmul(bn.children[i].weight, ratio);
-                let bc = bn.children[i].with_weight(bw);
-                *child = self.add_vectors_rec(an.children[i], bc);
-            }
-            self.make_vnode(an.var, children)
-        };
+        let mut children = [VEdge::ZERO; 2];
+        for (i, child) in children.iter_mut().enumerate() {
+            let bw = self.cmul(bn.children[i].weight, ratio);
+            let bc = bn.children[i].with_weight(bw);
+            *child = self.add_vectors_rec(an.children[i], bc);
+        }
+        let result = self.make_vnode(an.var, children);
         if self.exceeded.is_none() {
             self.ct_add_vec.insert(key, result);
         }
@@ -2434,18 +2138,13 @@ impl DdPackage {
         let an = self.mnode(a.node);
         let bn = self.mnode(b.node);
         debug_assert_eq!(an.var, bn.var, "matrix addition level mismatch");
-        // Matrix recursions never drop dense (see `MemoryConfig::dense_cutoff`):
-        // the 4^level blocks lose to node-at-a-time recursion on structured
-        // miters.
-        let result = {
-            let mut children = [MEdge::ZERO; 4];
-            for (i, child) in children.iter_mut().enumerate() {
-                let bw = self.cmul(bn.children[i].weight, ratio);
-                let bc = bn.children[i].with_weight(bw);
-                *child = self.add_matrices_rec(an.children[i], bc);
-            }
-            self.make_mnode(an.var, children)
-        };
+        let mut children = [MEdge::ZERO; 4];
+        for (i, child) in children.iter_mut().enumerate() {
+            let bw = self.cmul(bn.children[i].weight, ratio);
+            let bc = bn.children[i].with_weight(bw);
+            *child = self.add_matrices_rec(an.children[i], bc);
+        }
+        let result = self.make_mnode(an.var, children);
         if self.exceeded.is_none() {
             self.ct_add_mat.insert(key, result);
         }
@@ -2485,22 +2184,17 @@ impl DdPackage {
             let mn = self.mnode(m.node);
             let vn = self.vnode(v.node);
             debug_assert_eq!(mn.var, vn.var, "matrix-vector level mismatch");
-            let level = mn.var as usize + 1;
-            let r = if level <= self.dense_cutoff {
-                self.dense_mul_mat_vec(m.node, v.node, level)
-            } else {
-                let mut children = [VEdge::ZERO; 2];
-                for (row, child) in children.iter_mut().enumerate() {
-                    let mut acc = VEdge::ZERO;
-                    for col in 0..2 {
-                        let product =
-                            self.mul_mat_vec_rec(mn.children[row * 2 + col], vn.children[col]);
-                        acc = self.add_vectors_rec(acc, product);
-                    }
-                    *child = acc;
+            let mut children = [VEdge::ZERO; 2];
+            for (row, child) in children.iter_mut().enumerate() {
+                let mut acc = VEdge::ZERO;
+                for col in 0..2 {
+                    let product =
+                        self.mul_mat_vec_rec(mn.children[row * 2 + col], vn.children[col]);
+                    acc = self.add_vectors_rec(acc, product);
                 }
-                self.make_vnode(mn.var, children)
-            };
+                *child = acc;
+            }
+            let r = self.make_vnode(mn.var, children);
             if self.exceeded.is_none() {
                 self.ct_mat_vec.insert(key, r);
             }
@@ -2543,26 +2237,19 @@ impl DdPackage {
             let an = self.mnode(a.node);
             let bn = self.mnode(b.node);
             debug_assert_eq!(an.var, bn.var, "matrix-matrix level mismatch");
-            // Matrix recursions never drop dense (see
-            // `MemoryConfig::dense_cutoff`): the 4^level blocks lose to
-            // node-at-a-time recursion on structured miters.
-            let r = {
-                let mut children = [MEdge::ZERO; 4];
-                for row in 0..2 {
-                    for col in 0..2 {
-                        let mut acc = MEdge::ZERO;
-                        for k in 0..2 {
-                            let product = self.mul_matrices_rec(
-                                an.children[row * 2 + k],
-                                bn.children[k * 2 + col],
-                            );
-                            acc = self.add_matrices_rec(acc, product);
-                        }
-                        children[row * 2 + col] = acc;
+            let mut children = [MEdge::ZERO; 4];
+            for row in 0..2 {
+                for col in 0..2 {
+                    let mut acc = MEdge::ZERO;
+                    for k in 0..2 {
+                        let product = self
+                            .mul_matrices_rec(an.children[row * 2 + k], bn.children[k * 2 + col]);
+                        acc = self.add_matrices_rec(acc, product);
                     }
+                    children[row * 2 + col] = acc;
                 }
-                self.make_mnode(an.var, children)
-            };
+            }
+            let r = self.make_mnode(an.var, children);
             if self.exceeded.is_none() {
                 self.ct_mat_mat.insert(key, r);
             }

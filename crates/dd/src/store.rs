@@ -6,7 +6,7 @@
 //!
 //! * the canonical [`SharedComplexTable`]: the SoA weight lanes behind a
 //!   reader/writer lock plus bucket maps striped by bucket-key range into
-//!   [`CSTRIPES`] independently locked maps, so concurrent weight publishes
+//!   [`CSTRIPES`] independently locked maps, so concurrent weight interns
 //!   from different value ranges never serialise on one global mutex,
 //! * the vector/matrix unique tables, sharded by node hash into
 //!   [`SHARDS`] independently locked maps,
@@ -34,12 +34,10 @@
 //! *newer* than the pin (the arena/lane tails grown this epoch, plus
 //! free-list slots recycled this epoch) is read through small per-workspace
 //! tail mirrors and overlay maps that refill from the shared structures
-//! under the arena read locks, exactly like the pre-epoch read mirrors did —
-//! but they cover only the epoch's growth, not the whole store.
+//! under the arena read locks; they cover only the epoch's growth, not the
+//! whole store.
 //!
-//! This replaces the old invalidate-on-barrier mirror scheme: there are no
-//! mirror invalidations anymore (the counter remains, pinned at zero), and —
-//! because a re-pin swaps the snapshot instead of wiping local state — the
+//! Because a re-pin swaps the snapshot instead of wiping local state, the
 //! weight-arithmetic memos **survive collections**. Their weight indices are
 //! published as GC roots (see `memo_weight_roots`), and
 //! [`retain_marked`](SharedComplexTable::retain_marked) keeps marked indices
@@ -60,16 +58,13 @@
 //! *same* `(NodeId, CIdx)` edge. That is what turns the portfolio's
 //! duplicated work into cross-thread cache hits.
 //!
-//! Weight canonicity survives striping because a publish locks the stripes
+//! Weight canonicity survives striping because an intern locks the stripes
 //! of *all three* bucket-key rows its probe window touches (ascending, so
 //! deadlock-free). Two values within tolerance of each other sit at most one
-//! bucket row apart, hence each publisher's locked window covers the other's
-//! home stripe: concurrent publishes of mergeable values serialise on that
+//! bucket row apart, hence each interner's locked window covers the other's
+//! home stripe: concurrent interns of mergeable values serialise on that
 //! common stripe, and whichever runs second finds the first's entry in its
-//! probe. All workspace publishes go through [`SharedComplexTable::publish`]
-//! (the batched [`SharedHandle::intern_batch`] path and the scalar
-//! [`SharedHandle::intern`] both bottom out there), so a batch charges each
-//! stripe lock once per batch instead of once per weight.
+//! probe. Every workspace intern goes through [`SharedComplexTable::intern`].
 //!
 //! # Garbage collection: the safe-point barrier
 //!
@@ -273,7 +268,8 @@ const BUCKET: f64 = TOLERANCE;
 type Buckets = FxHashMap<(i64, i64), Vec<u32>>;
 
 /// SoA value lanes of the shared complex table (guarded by one `RwLock`:
-/// readers are tail refills and snapshot clones, writers are publishes).
+/// readers are tail refills, snapshot clones and probes, writers are
+/// inserts).
 #[derive(Debug, Default)]
 struct Lanes {
     re: Vec<f64>,
@@ -286,16 +282,14 @@ struct Lanes {
 /// — tolerance bucketing on a [`BUCKET`] grid, 3×3 neighbour probe, NaN
 /// sentinel for compaction-freed slots, stable indices for marked entries —
 /// but the bucket maps are striped by bucket-key *row* into [`CSTRIPES`]
-/// independent mutexes so publishes from different value ranges proceed in
-/// parallel. [`publish`](Self::publish) is the **only** write path: both the
-/// scalar and batched workspace intern routes bottom out in one call that
-/// locks each needed stripe once per batch.
+/// independent mutexes so interns from different value ranges proceed in
+/// parallel. [`intern`](Self::intern) is the **only** write path.
 #[derive(Debug)]
 pub(crate) struct SharedComplexTable {
     stripes: Vec<Mutex<Buckets>>,
     lanes: RwLock<Lanes>,
     /// Slots freed by [`retain_marked`](Self::retain_marked), recycled by
-    /// later publishes. Freed slots hold a NaN sentinel and are absent from
+    /// later interns. Freed slots hold a NaN sentinel and are absent from
     /// the buckets, so probes can never resolve to them.
     free: Mutex<Vec<u32>>,
 }
@@ -312,6 +306,50 @@ fn bucket_key(value: Complex) -> (i64, i64) {
 /// or two stripes.
 fn stripe_of(kr: i64) -> usize {
     (fx_hash(&(kr >> 2)) as usize) & (CSTRIPES - 1)
+}
+
+/// The stripe locks one intern holds: those of bucket rows `kr-1..=kr+1`,
+/// each stripe locked once and in ascending stripe order, the order that
+/// rules out deadlock between concurrent interns. Lives on the stack.
+struct ProbeWindow<'a> {
+    /// Stripe of row `kr + dr` at `rows[dr + 1]`.
+    rows: [usize; 3],
+    /// The held guards with their stripe, ascending; `None` where a stripe
+    /// covers more than one row.
+    held: [Option<(usize, MutexGuard<'a, Buckets>)>; 3],
+}
+
+impl<'a> ProbeWindow<'a> {
+    fn lock(
+        stripes: &'a [Mutex<Buckets>],
+        kr: i64,
+        waits: &mut u64,
+        contention_ns: &mut u64,
+    ) -> Self {
+        let rows = [stripe_of(kr - 1), stripe_of(kr), stripe_of(kr + 1)];
+        let mut ascending = rows;
+        ascending.sort_unstable();
+        let mut held = [None, None, None];
+        let mut last = None;
+        for (slot, stripe) in held.iter_mut().zip(ascending) {
+            if last != Some(stripe) {
+                *slot = Some((stripe, lock_timed(&stripes[stripe], waits, contention_ns)));
+                last = Some(stripe);
+            }
+        }
+        ProbeWindow { rows, held }
+    }
+
+    /// The bucket map holding row `kr + dr`, for `dr` in `-1..=1`.
+    fn row(&mut self, dr: i64) -> &mut Buckets {
+        let stripe = self.rows[(dr + 1) as usize];
+        self.held
+            .iter_mut()
+            .flatten()
+            .find(|(held, _)| *held == stripe)
+            .map(|(_, guard)| &mut **guard)
+            .expect("every probe row's stripe is locked")
+    }
 }
 
 impl SharedComplexTable {
@@ -345,7 +383,7 @@ impl SharedComplexTable {
 
     /// Number of *live* interned values (slots minus freed slots).
     ///
-    /// Lock order: `free` before `lanes`, matching [`publish`](Self::publish).
+    /// Lock order: `free` before `lanes`, matching [`intern`](Self::intern).
     pub(crate) fn live_len(&self) -> usize {
         let freed = lock(&self.free).len();
         read(&self.lanes).re.len() - freed
@@ -374,123 +412,43 @@ impl SharedComplexTable {
         (lanes.re.clone(), lanes.im.clone())
     }
 
-    /// Publishes a batch of weight values: each `(pos, value)` pair resolves
-    /// to a canonical index written into `out[pos]`. This is the only shared
-    /// write path — every needed stripe is locked once (ascending, so two
-    /// concurrent publishes can never deadlock), then the whole batch
-    /// resolves under those guards.
-    pub(crate) fn publish(
-        &self,
-        misses: &[(usize, Complex)],
-        out: &mut [CIdx],
-        waits: &mut u64,
-        contention_ns: &mut u64,
-    ) {
-        if misses.is_empty() {
-            return;
-        }
-        // Which stripes does the batch's probe window touch? Each value
-        // probes bucket rows kr-1..=kr+1; lock the stripe of every such row.
-        let mut needed = [false; CSTRIPES];
-        for &(_, value) in misses {
-            let (kr, _) = bucket_key(value);
-            for dr in -1..=1 {
-                needed[stripe_of(kr + dr)] = true;
-            }
-        }
-        let mut guards: Vec<Option<MutexGuard<'_, Buckets>>> =
-            (0..CSTRIPES).map(|_| None).collect();
-        for (i, need) in needed.iter().enumerate() {
-            if *need {
-                guards[i] = Some(lock_timed(&self.stripes[i], waits, contention_ns));
-            }
-        }
-        // Phase 1: probe under the lanes *read* lock. The held stripes pin
-        // every probe row, so a miss here stays a miss until our own write
-        // phase — and a batch whose values all exist already (the common
-        // case once the table is warm) never serializes readers behind the
-        // lanes write lock at all.
-        let mut unresolved: Vec<(usize, Complex)> = Vec::new();
-        {
-            let lanes = read_timed(&self.lanes, waits, contention_ns);
-            for &(pos, value) in misses {
-                match Self::probe_locked(&guards, &lanes, value) {
-                    Some(idx) => out[pos] = idx,
-                    None => unresolved.push((pos, value)),
-                }
-            }
-        }
-        if unresolved.is_empty() {
-            return;
-        }
-        // Phase 2: append only the genuinely-new values. The full
-        // probe-or-insert repeats the probe so duplicates *within* the batch
-        // resolve to one slot.
-        let mut free = lock_timed(&self.free, waits, contention_ns);
-        let mut lanes = write_timed(&self.lanes, waits, contention_ns);
-        for &(pos, value) in &unresolved {
-            out[pos] = Self::lookup_locked(&mut guards, &mut free, &mut lanes, value);
-        }
-    }
-
-    /// Publishes a single value (a batch of one).
-    pub(crate) fn intern_one(
-        &self,
-        value: Complex,
-        waits: &mut u64,
-        contention_ns: &mut u64,
-    ) -> CIdx {
-        let mut out = [CIdx::ZERO];
-        self.publish(&[(0, value)], &mut out, waits, contention_ns);
-        out[0]
-    }
-
-    /// Probe-only half of [`lookup_locked`](Self::lookup_locked): resolves
-    /// the shortcut constants and any value already interned in the locked
-    /// probe window, without needing write access to the lanes.
-    fn probe_locked(
-        guards: &[Option<MutexGuard<'_, Buckets>>],
-        lanes: &Lanes,
-        value: Complex,
-    ) -> Option<CIdx> {
+    /// Interns one weight value, returning its canonical index. This is the
+    /// only shared write path: it locks the stripes of the three bucket rows
+    /// its probe window touches (see [`ProbeWindow`]), probes, and inserts
+    /// on a miss.
+    pub(crate) fn intern(&self, value: Complex, waits: &mut u64, contention_ns: &mut u64) -> CIdx {
         if value.is_zero() {
-            return Some(CIdx::ZERO);
+            return CIdx::ZERO;
         }
         if value.is_one() {
-            return Some(CIdx::ONE);
+            return CIdx::ONE;
         }
         let (kr, ki) = bucket_key(value);
-        for dr in -1..=1 {
-            let stripe = guards[stripe_of(kr + dr)]
-                .as_ref()
-                .expect("probe row's stripe must be locked by publish");
-            for di in -1..=1 {
-                if let Some(candidates) = stripe.get(&(kr + dr, ki + di)) {
-                    for &idx in candidates {
-                        let slot = Complex::new(lanes.re[idx as usize], lanes.im[idx as usize]);
-                        if slot.approx_eq(value) {
-                            return Some(CIdx(idx));
+        let mut window = ProbeWindow::lock(&self.stripes, kr, waits, contention_ns);
+        // Probe under the lanes *read* lock. The held stripes pin every probe
+        // row, so a miss here stays a miss until the insert below — and a
+        // value that exists already (the common case once the table is warm)
+        // never serializes readers behind the lanes write lock at all.
+        {
+            let lanes = read_timed(&self.lanes, waits, contention_ns);
+            for dr in -1..=1 {
+                let row = window.row(dr);
+                for di in -1..=1 {
+                    if let Some(candidates) = row.get(&(kr + dr, ki + di)) {
+                        for &idx in candidates {
+                            let slot = Complex::new(lanes.re[idx as usize], lanes.im[idx as usize]);
+                            if slot.approx_eq(value) {
+                                return CIdx(idx);
+                            }
                         }
                     }
                 }
             }
         }
-        None
-    }
-
-    /// Probe-or-insert under already-held guards. Identical probe order and
-    /// insertion behaviour to the private table's `lookup`, so shared and
-    /// private packages canonicalise identically.
-    fn lookup_locked(
-        guards: &mut [Option<MutexGuard<'_, Buckets>>],
-        free: &mut Vec<u32>,
-        lanes: &mut Lanes,
-        value: Complex,
-    ) -> CIdx {
-        if let Some(idx) = Self::probe_locked(guards, lanes, value) {
-            return idx;
-        }
-        let (kr, ki) = bucket_key(value);
+        // Same insertion behaviour as the private table's `lookup`, so shared
+        // and private packages canonicalise identically.
+        let mut free = lock_timed(&self.free, waits, contention_ns);
+        let mut lanes = write_timed(&self.lanes, waits, contention_ns);
         let idx = match free.pop() {
             Some(slot) => {
                 lanes.re[slot as usize] = value.re;
@@ -504,12 +462,7 @@ impl SharedComplexTable {
                 idx
             }
         };
-        guards[stripe_of(kr)]
-            .as_mut()
-            .expect("home stripe must be locked by publish")
-            .entry((kr, ki))
-            .or_default()
-            .push(idx);
+        window.row(0).entry((kr, ki)).or_default().push(idx);
         CIdx(idx)
     }
 
@@ -629,10 +582,6 @@ pub struct SharedStoreStats {
     /// Measured only on the blocking path: uncontended acquisitions
     /// contribute zero.
     pub shard_contention_ns: u64,
-    /// Full mirror/memo invalidations. Always zero under the epoch-snapshot
-    /// read path (workspaces re-pin instead of invalidating); kept so older
-    /// telemetry consumers see an explicit zero rather than a missing field.
-    pub mirror_invalidations: u64,
     /// Times any workspace pinned a generation snapshot (one per attachment
     /// plus one per collection it crossed).
     pub epoch_pins: u64,
@@ -745,9 +694,6 @@ pub struct SharedStore {
     pub(crate) chain_hits: AtomicU64,
     pub(crate) shard_lock_waits: AtomicU64,
     pub(crate) shard_contention_ns: AtomicU64,
-    /// Pinned at zero by the epoch-snapshot read path; kept for telemetry
-    /// shape stability (and for the regression test asserting it stays 0).
-    pub(crate) mirror_invalidations: AtomicU64,
     pub(crate) epoch_pins: AtomicU64,
     pub(crate) retired_generations: AtomicU64,
     pub(crate) deferred_reclaim_bytes: AtomicU64,
@@ -800,7 +746,6 @@ impl SharedStore {
             chain_hits: AtomicU64::new(0),
             shard_lock_waits: AtomicU64::new(0),
             shard_contention_ns: AtomicU64::new(0),
-            mirror_invalidations: AtomicU64::new(0),
             epoch_pins: AtomicU64::new(0),
             retired_generations: AtomicU64::new(0),
             deferred_reclaim_bytes: AtomicU64::new(0),
@@ -925,7 +870,6 @@ impl SharedStore {
             chain_hits: self.chain_hits.load(Ordering::Relaxed),
             shard_lock_waits: self.shard_lock_waits.load(Ordering::Relaxed),
             shard_contention_ns: self.shard_contention_ns.load(Ordering::Relaxed),
-            mirror_invalidations: self.mirror_invalidations.load(Ordering::Relaxed),
             epoch_pins: self.epoch_pins.load(Ordering::Relaxed),
             retired_generations: self.retired_generations.load(Ordering::Relaxed),
             deferred_reclaim_bytes: self.deferred_reclaim_bytes.load(Ordering::Relaxed),
@@ -1188,7 +1132,7 @@ impl SharedHandle {
         if i < base {
             let v = Complex::new(self.pin.cre[i], self.pin.cim[i]);
             // NaN marks a slot freed at publish time (possibly recycled
-            // since by a publish this epoch).
+            // since by an intern this epoch).
             if !v.re.is_nan() {
                 return v;
             }
@@ -1231,58 +1175,13 @@ impl SharedHandle {
         if let Some(idx) = self.bits_memo.get(&key) {
             return idx;
         }
-        let idx = self.store.ctab.intern_one(
+        let idx = self.store.ctab.intern(
             value,
             &mut self.shard_lock_waits,
             &mut self.shard_contention_ns,
         );
         self.bits_memo.insert(key, idx);
         idx
-    }
-
-    /// Interns a whole slice of values, appending one `CIdx` per value to
-    /// `out` — same sequence the scalar [`intern`](Self::intern) loop would
-    /// produce, but all memo misses are published under **one** striped-lock
-    /// acquisition instead of one per weight, so a dense terminal-case
-    /// rebuild charges each stripe lock once per block.
-    pub(crate) fn intern_batch(&mut self, values: &[Complex], out: &mut Vec<CIdx>) {
-        out.reserve(values.len());
-        let base = out.len();
-        // Pass 1: resolve shortcuts and memo hits without touching a lock;
-        // remember the positions that missed.
-        let mut misses: Vec<(usize, Complex)> = Vec::new();
-        for &value in values {
-            if value.is_zero() {
-                out.push(CIdx::ZERO);
-                continue;
-            }
-            if value.is_one() {
-                out.push(CIdx::ONE);
-                continue;
-            }
-            let key = (value.re.to_bits(), value.im.to_bits());
-            if let Some(idx) = self.bits_memo.get(&key) {
-                out.push(idx);
-            } else {
-                misses.push((out.len(), value));
-                out.push(CIdx::ZERO); // placeholder, patched below
-            }
-        }
-        // Pass 2: one publish resolves every miss, in order.
-        if !misses.is_empty() {
-            self.store.ctab.publish(
-                &misses,
-                &mut out[..],
-                &mut self.shard_lock_waits,
-                &mut self.shard_contention_ns,
-            );
-            for &(pos, value) in &misses {
-                self.bits_memo
-                    .insert((value.re.to_bits(), value.im.to_bits()), out[pos]);
-            }
-        }
-        debug_assert_eq!(out.len() - base, values.len());
-        obs::metrics::add(obs::metrics::DD_BATCH_INTERNED, values.len() as u64);
     }
 
     pub(crate) fn mul(&mut self, a: CIdx, b: CIdx) -> CIdx {
@@ -1698,25 +1597,24 @@ mod tests {
     #[test]
     fn striped_interning_merges_within_tolerance_across_batches() {
         // The striped table must canonicalise exactly like the private one:
-        // values within tolerance merge even across the scalar and batched
-        // publish routes, and the constants keep their reserved indices.
+        // values within tolerance merge across separate interns, and the
+        // constants keep their reserved indices.
         let store = SharedStore::new();
         let mut waits = 0;
         let mut ns = 0;
         let a = store
             .ctab
-            .intern_one(Complex::new(0.5, -0.25), &mut waits, &mut ns);
-        let mut out = Vec::new();
-        let values = [
+            .intern(Complex::new(0.5, -0.25), &mut waits, &mut ns);
+        let out: Vec<CIdx> = [
             Complex::ZERO,
             Complex::ONE,
             Complex::new(0.5 + 1e-14, -0.25),
             Complex::new(0.5, -0.25 + 0.4 * TOLERANCE),
             Complex::new(-0.5, 0.25),
-        ];
-        out.resize(values.len(), CIdx::ZERO);
-        let misses: Vec<(usize, Complex)> = values.iter().copied().enumerate().collect();
-        store.ctab.publish(&misses, &mut out, &mut waits, &mut ns);
+        ]
+        .into_iter()
+        .map(|value| store.ctab.intern(value, &mut waits, &mut ns))
+        .collect();
         assert_eq!(out[0], CIdx::ZERO);
         assert_eq!(out[1], CIdx::ONE);
         assert_eq!(out[2], a, "within-tolerance value must merge");
@@ -1732,10 +1630,10 @@ mod tests {
         let mut ns = 0;
         let keep = store
             .ctab
-            .intern_one(Complex::new(0.25, 0.0), &mut waits, &mut ns);
+            .intern(Complex::new(0.25, 0.0), &mut waits, &mut ns);
         let dead = store
             .ctab
-            .intern_one(Complex::new(0.75, 0.0), &mut waits, &mut ns);
+            .intern(Complex::new(0.75, 0.0), &mut waits, &mut ns);
         let mut marked = vec![false; store.ctab.len()];
         marked[keep.index()] = true;
         assert_eq!(store.ctab.retain_marked(&marked), 1);
@@ -1745,16 +1643,16 @@ mod tests {
             .slot(keep.index())
             .approx_eq(Complex::new(0.25, 0.0)));
         assert!(store.ctab.slot(dead.index()).re.is_nan());
-        // The freed slot is recycled by the next publish.
+        // The freed slot is recycled by the next intern.
         let recycled = store
             .ctab
-            .intern_one(Complex::new(0.125, 0.5), &mut waits, &mut ns);
+            .intern(Complex::new(0.125, 0.5), &mut waits, &mut ns);
         assert_eq!(recycled, dead);
         // And the kept value still resolves to its old index.
         assert_eq!(
             store
                 .ctab
-                .intern_one(Complex::new(0.25, 0.0), &mut waits, &mut ns),
+                .intern(Complex::new(0.25, 0.0), &mut waits, &mut ns),
             keep
         );
     }

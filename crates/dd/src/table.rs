@@ -8,14 +8,11 @@
 //! presence of floating-point round-off.
 //!
 //! Storage is structure-of-arrays: the real and imaginary components live in
-//! two separate `f64` lanes so the batched paths ([`lookup_batch`]
-//! (ComplexTable::lookup_batch), dense terminal-case apply, mirror syncs)
-//! stream contiguous same-typed data through the [`kernels`](crate::kernels)
-//! layer instead of gathering interleaved pairs.
+//! two separate `f64` lanes, the layout a shared store's published generation
+//! snapshots copy wholesale (see [`store`](crate::store)).
 
 use crate::complex::{Complex, TOLERANCE};
 use crate::hash::FxHashMap;
-use crate::kernels;
 
 /// Index of an interned complex value inside a [`ComplexTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,12 +71,6 @@ pub struct ComplexTable {
     /// next inserts. Freed slots hold a NaN sentinel and are absent from the
     /// buckets, so lookups can never resolve to them.
     free: Vec<u32>,
-    /// Scratch for [`lookup_batch`](Self::lookup_batch): bucket keys of the
-    /// whole batch (phase 1) and the SoA candidate gather per value (phase 2).
-    batch_keys: Vec<(i64, i64)>,
-    cand_re: Vec<f64>,
-    cand_im: Vec<f64>,
-    cand_idx: Vec<u32>,
 }
 
 impl Default for ComplexTable {
@@ -96,10 +87,6 @@ impl ComplexTable {
             im: Vec::with_capacity(1024),
             buckets: FxHashMap::default(),
             free: Vec::new(),
-            batch_keys: Vec::new(),
-            cand_re: Vec::new(),
-            cand_im: Vec::new(),
-            cand_idx: Vec::new(),
         };
         let zero = table.insert(Complex::ZERO);
         let one = table.insert(Complex::ONE);
@@ -159,56 +146,6 @@ impl ComplexTable {
             }
         }
         self.insert(value)
-    }
-
-    /// Interns a whole slice of values in one pass, appending one [`CIdx`]
-    /// per value to `out` (in order).
-    ///
-    /// Equivalent to calling [`lookup`](Self::lookup) on each value in
-    /// sequence — same shortcuts, same probe order, same insertion order, so
-    /// the returned index sequence is identical — but the bucket keys for
-    /// the batch are hashed in one pass and each value's candidate set is
-    /// gathered into contiguous SoA lanes and compared with one vectorized
-    /// tolerance probe instead of a pointer-chasing scan.
-    pub fn lookup_batch(&mut self, values: &[Complex], out: &mut Vec<CIdx>) {
-        out.reserve(values.len());
-        // Phase 1: one hashing pass over the batch.
-        let mut batch_keys = std::mem::take(&mut self.batch_keys);
-        batch_keys.clear();
-        batch_keys.extend(values.iter().map(|&v| Self::bucket_key(v)));
-        // Phase 2: probe (vectorized) or insert, in order. Inserts must be
-        // visible to later values of the same batch, exactly as if the
-        // scalar path had run value-by-value.
-        for (&value, &(kr, ki)) in values.iter().zip(batch_keys.iter()) {
-            if value.is_zero() {
-                out.push(CIdx::ZERO);
-                continue;
-            }
-            if value.is_one() {
-                out.push(CIdx::ONE);
-                continue;
-            }
-            self.cand_re.clear();
-            self.cand_im.clear();
-            self.cand_idx.clear();
-            for dr in -1..=1 {
-                for di in -1..=1 {
-                    if let Some(candidates) = self.buckets.get(&(kr + dr, ki + di)) {
-                        for &idx in candidates {
-                            self.cand_re.push(self.re[idx as usize]);
-                            self.cand_im.push(self.im[idx as usize]);
-                            self.cand_idx.push(idx);
-                        }
-                    }
-                }
-            }
-            match kernels::first_within_tolerance(&self.cand_re, &self.cand_im, value, TOLERANCE) {
-                Some(pos) => out.push(CIdx(self.cand_idx[pos])),
-                None => out.push(self.insert(value)),
-            }
-        }
-        self.batch_keys = batch_keys;
-        obs::metrics::add(obs::metrics::DD_BATCH_INTERNED, values.len() as u64);
     }
 
     /// Returns the value stored at `idx`.
@@ -410,50 +347,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_lookup_matches_scalar_sequence() {
-        let values: Vec<Complex> = (0..64)
-            .map(|k| {
-                let theta = k as f64 * 0.1;
-                Complex::from_polar(0.5 + (k % 7) as f64 * 0.01, theta)
-            })
-            // Repeats, shortcuts and near-duplicates inside the same batch.
-            .chain([
-                Complex::ZERO,
-                Complex::ONE,
-                Complex::real(0.5),
-                Complex::real(0.5 + 1e-14),
-                Complex::real(0.5 + 0.4 * TOLERANCE),
-            ])
-            .collect();
-        let mut scalar = ComplexTable::new();
-        let want: Vec<CIdx> = values.iter().map(|&v| scalar.lookup(v)).collect();
-        let mut batched = ComplexTable::new();
-        let mut got = Vec::new();
-        batched.lookup_batch(&values, &mut got);
-        assert_eq!(got, want);
-        assert_eq!(batched.len(), scalar.len());
-    }
-
-    #[test]
-    fn batch_lookup_sees_earlier_batch_inserts() {
-        let mut t = ComplexTable::new();
-        let v = Complex::new(0.25, -0.75);
-        let mut out = Vec::new();
-        t.lookup_batch(&[v, v, Complex::new(0.25 + 1e-14, -0.75)], &mut out);
-        assert_eq!(out[0], out[1]);
-        assert_eq!(out[0], out[2]);
-        assert_eq!(t.live_len(), 3);
-    }
-
-    #[test]
-    fn batch_lookup_reuses_freed_slots() {
+    fn lookup_reuses_freed_slots() {
         let mut t = ComplexTable::new();
         let dead = t.lookup(Complex::real(0.9));
         t.retain_marked(&[true, true]);
-        let mut out = Vec::new();
-        t.lookup_batch(&[Complex::real(0.3)], &mut out);
+        let fresh = t.lookup(Complex::real(0.3));
         // The freed slot is recycled, and the old value is gone.
-        assert_eq!(out[0], dead);
-        assert!(t.value(out[0]).approx_eq(Complex::real(0.3)));
+        assert_eq!(fresh, dead);
+        assert!(t.value(fresh).approx_eq(Complex::real(0.3)));
     }
 }

@@ -345,7 +345,6 @@ proptest! {
             unary_cache_bits: 1,
             gate_cache_bits: 1,
             gc_threshold: None,
-            ..MemoryConfig::default()
         };
         let mut small = DdPackage::with_config(N, Budget::unlimited(), tiny);
         let mut large = DdPackage::new(N);
@@ -399,13 +398,13 @@ fn repeated_gate_circuit_peak_nodes_stay_bounded() {
 }
 
 // ---------------------------------------------------------------------
-// Batched interning parity
+// Shared-store interning parity
 // ---------------------------------------------------------------------
 
 /// A value jittered around a bucket-grid corner: `jr`/`ji` in `(-1, 1)`
 /// place it up to one full bucket away from the corner in each component,
-/// the adversarial zone where the scalar probe's neighbour-bucket search
-/// and tolerance merge decisions all fire.
+/// the adversarial zone where the neighbour-bucket search, the striped
+/// probe window and tolerance merge decisions all fire.
 fn boundary_value(kr: i64, ki: i64, jr: f64, ji: f64) -> Complex {
     Complex::new(
         0.5 + (kr as f64 + jr) * dd::TOLERANCE,
@@ -413,45 +412,41 @@ fn boundary_value(kr: i64, ki: i64, jr: f64, ji: f64) -> Complex {
     )
 }
 
-/// Interns `values` one-by-one in a fresh table (the scalar reference) and
-/// as chunked batches in another, asserting identical index sequences and
+/// Interns `values` one by one in a private package (the reference) and in
+/// a workspace of a shared store, asserting identical index sequences and
 /// identical final table sizes.
-fn assert_batch_matches_scalar(values: &[Complex], chunk: usize) {
-    let mut scalar_table = dd::ComplexTable::new();
-    let want: Vec<dd::CIdx> = values.iter().map(|&v| scalar_table.lookup(v)).collect();
-    let mut batch_table = dd::ComplexTable::new();
-    let mut got = Vec::new();
-    for part in values.chunks(chunk.max(1)) {
-        batch_table.lookup_batch(part, &mut got);
-    }
-    assert_eq!(got, want, "batched CIdx sequence diverged from scalar");
+fn assert_shared_matches_private(values: &[Complex]) {
+    let mut private = DdPackage::new(1);
+    let want: Vec<dd::CIdx> = values.iter().map(|&v| private.intern(v)).collect();
+    let store = dd::SharedStore::new();
+    let mut shared = store.workspace(1);
+    let got: Vec<dd::CIdx> = values.iter().map(|&v| shared.intern(v)).collect();
+    assert_eq!(got, want, "shared CIdx sequence diverged from private");
     assert_eq!(
-        batch_table.len(),
-        scalar_table.len(),
-        "batched interning created a different number of slots"
+        shared.stats().complex_values,
+        private.stats().complex_values,
+        "shared interning created a different number of slots"
     );
 }
 
 proptest! {
-    /// `lookup_batch` returns exactly the index sequence the scalar
-    /// `lookup` loop produces on random inputs, for any batch chunking.
+    /// The striped shared table returns exactly the index sequence the
+    /// private table produces on random inputs.
     #[test]
-    fn batch_interning_matches_scalar_random(
+    fn shared_interning_matches_private_random(
         raw in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 1..200),
-        chunk in 1usize..64,
     ) {
         let values: Vec<Complex> = raw.into_iter().map(|(re, im)| Complex::new(re, im)).collect();
-        assert_batch_matches_scalar(&values, chunk);
+        assert_shared_matches_private(&values);
     }
 
     /// Same parity on adversarial inputs: clusters of values straddling
     /// bucket-grid boundaries within (and just outside) the merge
     /// tolerance, where first-match order decides which index wins.
     #[test]
-    fn batch_interning_matches_scalar_near_bucket_boundaries(
+    fn shared_interning_matches_private_near_bucket_boundaries(
         corners in proptest::collection::vec((-40i64..40, -40i64..40), 1..8),
         jitters in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 1..64),
-        chunk in 1usize..32,
     ) {
         let mut values = Vec::new();
         for &(kr, ki) in &corners {
@@ -459,7 +454,7 @@ proptest! {
                 values.push(boundary_value(kr, ki, jr, ji));
             }
         }
-        assert_batch_matches_scalar(&values, chunk);
+        assert_shared_matches_private(&values);
     }
 }
 
@@ -467,7 +462,7 @@ proptest! {
 /// exactly one tolerance, which must NOT merge under the strict `<`
 /// predicate) and repeats interleaved with near-misses.
 #[test]
-fn batch_interning_exact_boundary_cases() {
+fn shared_interning_exact_boundary_cases() {
     let t = dd::TOLERANCE;
     let values = vec![
         Complex::real(0.5),
@@ -482,7 +477,5 @@ fn batch_interning_exact_boundary_cases() {
         Complex::new(1.0 + 0.4 * t, 0.0),
         Complex::real(0.5), // repeat of the first entry
     ];
-    for chunk in [1, 2, 3, values.len()] {
-        assert_batch_matches_scalar(&values, chunk);
-    }
+    assert_shared_matches_private(&values);
 }

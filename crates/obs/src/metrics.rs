@@ -93,8 +93,6 @@ catalog! {
     DD_SHARD_WAITS = ("dd.store.shard_waits", Unit::Count, "a blocked try_lock; says nothing about how long the wait was — see shard_contention_ns");
     /// Time spent blocked acquiring shared-store shard/gate/complex locks.
     DD_SHARD_CONTENTION_NS = ("dd.store.shard_contention_ns", Unit::Nanos, "measured only on the blocking path; uncontended acquisitions contribute zero even though they also cost cycles");
-    /// Thread-local mirror invalidations (a GC generation bump forced a full mirror rebuild).
-    DD_MIRROR_INVALIDATIONS = ("dd.store.mirror_invalidations", Unit::Count, "each invalidation silently discards memo tables too; the cost shows up later as cache misses");
     /// Portfolio races executed (one per verified pair).
     PF_RACES = ("portfolio.races", Unit::Count, "counts sequential tiny-instance plans as races too");
     /// Scheme launches across all races (primary + escalation waves).
@@ -115,10 +113,6 @@ catalog! {
     DD_KERNEL_BACKEND_AVX2 = ("dd.kernels.backend_avx2", Unit::Count, "records the dispatch decision, not usage: a process can select AVX2 and never run a single kernel");
     /// Process resolved the scalar kernel backend (at most 1 per process).
     DD_KERNEL_BACKEND_SCALAR = ("dd.kernels.backend_scalar", Unit::Count, "scalar means the autovectorizable fallback, which the compiler may still emit SIMD for");
-    /// Apply/mul/add recursions that dropped to the dense terminal-case kernel, folded at package drop.
-    DD_DENSE_APPLIES = ("dd.dense.applies", Unit::Count, "counts compute-cache *misses* routed dense; a high hit rate makes this small even when the cutoff does all the residual work");
-    /// Weights interned through the batched lookup path (one add per batch).
-    DD_BATCH_INTERNED = ("dd.ctab.batch_interned", Unit::Count, "counts weights, not batches; zero/one shortcuts and memo hits resolved before the table lock are included");
     /// Gate-matrix phase factors served from the precomputed twiddle table.
     DD_TWIDDLE_HITS = ("dd.gates.twiddle_hits", Unit::Count, "only cold gate-DD builds reach this path; a warm gate cache makes the count tiny regardless of the table's value");
     /// Generation-snapshot pins taken by shared workspaces (attach + re-pins), folded at package drop.

@@ -459,8 +459,6 @@ pub struct PairMetrics {
     pub shard_lock_waits: u64,
     /// Time spent blocked on store locks, summed across threads (seconds).
     pub shard_contention_seconds: f64,
-    /// Workspace mirror flushes forced by collections during this pair.
-    pub mirror_invalidations: u64,
     /// Canonical hits served by structure carried over from an earlier
     /// pair on a warm store.
     pub warm_hits: u64,
@@ -487,7 +485,6 @@ impl PairMetrics {
             barrier_deferrals: store.map_or(0, |s| s.barrier_deferrals),
             shard_lock_waits: store.map_or(0, |s| s.shard_lock_waits),
             shard_contention_seconds: store.map_or(0.0, |s| s.shard_contention_seconds),
-            mirror_invalidations: store.map_or(0, |s| s.mirror_invalidations),
             warm_hits: store.map_or(0, |s| s.warm_hits),
             pool_gc_seconds,
         }

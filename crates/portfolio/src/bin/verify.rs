@@ -35,11 +35,6 @@
 //!                     the bucket's recorded sharing telemetry says it pays
 //!                     (the decision+reason land in each pair's metrics
 //!                     block and the race.plan trace event)
-//!   --dense-cutoff N  decision-diagram level at or below which the mat·vec
-//!                     apply and vector-add recursions drop to the dense SoA
-//!                     kernels — matrix·matrix recursions always stay
-//!                     node-at-a-time (0 disables the dense path; default 3,
-//!                     clamped to 6)
 //!   --warm-stores     keep one shared store per register width alive
 //!                     across pairs (default; a barrier GC between pairs
 //!                     bounds the carry-over)
@@ -77,7 +72,6 @@ struct Args {
     store_shelves: Option<usize>,
     private_packages: bool,
     warm_stores: bool,
-    dense_cutoff: Option<u32>,
     trace_file: Option<PathBuf>,
     metrics: bool,
     compact: bool,
@@ -98,7 +92,6 @@ fn parse_args() -> Result<Args, String> {
         store_shelves: None,
         private_packages: false,
         warm_stores: true,
-        dense_cutoff: None,
         trace_file: None,
         metrics: false,
         compact: false,
@@ -164,12 +157,6 @@ fn parse_args() -> Result<Args, String> {
                 args.store_shelves = Some(shelves);
             }
             "--private-packages" => args.private_packages = true,
-            "--dense-cutoff" => {
-                let cutoff: u32 = value("--dense-cutoff")?
-                    .parse()
-                    .map_err(|_| "--dense-cutoff must be a non-negative integer".to_string())?;
-                args.dense_cutoff = Some(cutoff);
-            }
             "--warm-stores" => args.warm_stores = true,
             "--cold-stores" => args.warm_stores = false,
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
@@ -181,7 +168,7 @@ fn parse_args() -> Result<Args, String> {
                      [--out FILE] [--workers N] \
                      [--node-limit N] [--leaf-limit N] [--deadline SECS] \
                      [--stats-file FILE] [--policy race|predicted] [--store-shelves N] \
-                     [--private-packages] [--dense-cutoff N] \
+                     [--private-packages] \
                      [--warm-stores | --cold-stores] \
                      [--trace-file FILE] [--metrics] [--compact]"
                 );
@@ -283,10 +270,6 @@ fn main() {
     options.portfolio.leaf_limit = args.leaf_limit;
     options.portfolio.deadline = args.deadline.map(std::time::Duration::from_secs_f64);
     options.portfolio.shared_package = !args.private_packages;
-    if let Some(cutoff) = args.dense_cutoff {
-        options.portfolio.configuration.memory.dense_cutoff = cutoff;
-        options.portfolio.extraction.memory.dense_cutoff = cutoff;
-    }
     options.warm_stores = args.warm_stores;
     // A stats file implies the predicted policy (that is its point); an
     // explicit --policy always wins. Prediction with a cold store degrades

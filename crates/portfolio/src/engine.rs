@@ -83,12 +83,10 @@ impl Default for PortfolioConfig {
 }
 
 impl PortfolioConfig {
-    /// A copy of the config with the scheduler's per-scheme memory hints
-    /// folded into the memory configuration of every package the scheme
-    /// will create. Hints only ever *tighten*: the GC-threshold hint can
-    /// only lower thresholds (a disabled automatic GC stays disabled), and
-    /// the dense-cutoff hint can only lower the cutoff (a cutoff the
-    /// operator already set to 0 stays 0).
+    /// A copy of the config with the scheduler's per-scheme GC hint folded
+    /// into the memory configuration of every package the scheme will
+    /// create. The hint only ever *tightens*: it can only lower thresholds
+    /// (a disabled automatic GC stays disabled).
     fn with_hints(&self, scheduled: &crate::scheduler::ScheduledScheme) -> PortfolioConfig {
         let mut config = self.clone();
         if let Some(hint) = scheduled.gc_hint {
@@ -98,11 +96,6 @@ impl PortfolioConfig {
             if let Some(threshold) = config.extraction.memory.gc_threshold {
                 config.extraction.memory.gc_threshold = Some(threshold.min(hint));
             }
-        }
-        if let Some(hint) = scheduled.dense_hint {
-            config.configuration.memory.dense_cutoff =
-                config.configuration.memory.dense_cutoff.min(hint);
-            config.extraction.memory.dense_cutoff = config.extraction.memory.dense_cutoff.min(hint);
         }
         config
     }
@@ -244,10 +237,6 @@ pub struct SharedStoreReport {
     /// Total time schemes spent blocked on store locks, in seconds.
     /// Sums across threads, like `barrier_wait_seconds`.
     pub shard_contention_seconds: f64,
-    /// Workspace mirror flushes forced by collections. Pinned at `0` under
-    /// epoch-snapshot reads (workspaces re-pin instead of flushing); kept in
-    /// the report so a regression would show up on existing dashboards.
-    pub mirror_invalidations: u64,
     /// Generation pins taken during this race: one per workspace attach
     /// plus one per collection a workspace crossed. Pins are `Arc` clones —
     /// a high count signals frequent GC, not expensive reads.
@@ -301,9 +290,6 @@ impl SharedStoreReport {
                 .saturating_sub(start.shard_contention_ns)
                 as f64
                 / 1e9,
-            mirror_invalidations: end
-                .mirror_invalidations
-                .saturating_sub(start.mirror_invalidations),
             epoch_pins: end.epoch_pins.saturating_sub(start.epoch_pins),
             retired_generations: end
                 .retired_generations
@@ -367,10 +353,10 @@ impl PortfolioResult {
 /// [`scheme::REGISTRY`](crate::scheme::REGISTRY) whose applicability
 /// predicate accepts the pair, ordered by their
 /// [`race_rank`](crate::scheme::SchemeDescriptor::race_rank). Static pairs
-/// select the four miter schedules plus random-stimulus simulation; pairs
-/// with dynamic primitives select the Section 4 reconstruction flow (the
-/// proportional, aligned and reference schedules) plus the Section 5
-/// fixed-input extraction.
+/// select the proportional, aligned and one-to-one miter schedules plus
+/// random-stimulus simulation; pairs with dynamic primitives select the
+/// Section 4 reconstruction flow (the proportional and aligned schedules)
+/// plus the Section 5 fixed-input extraction.
 pub fn applicable_schemes(left: &QuantumCircuit, right: &QuantumCircuit) -> Vec<Scheme> {
     applicable_descriptors(left, right)
         .iter()

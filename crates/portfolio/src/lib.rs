@@ -12,18 +12,19 @@
 //!   predicate over the circuit pair, static cost features, launch ranks
 //!   and a runner function; the [`Scheme`] it describes carries the static
 //!   name. The engine and scheduler are generic over registry entries;
-//!   adding a scheme means adding one descriptor. The nine entries are the
-//!   four miter schedules (proportional, aligned, one-to-one, reference)
-//!   plus simulation for static pairs, and the reconstruction flow under
-//!   the proportional, aligned and reference schedules plus the fixed-input
-//!   extraction for dynamic pairs. On a reconstructed pair the aligned
-//!   schedule ([`qcec::Strategy::Aligned`]) pairs every gate with its
-//!   reordered twin, so `dynamic-functional(aligned)` decides the paper's
-//!   QFT, QPE and BV rows without leaving the identity; it holds the launch
-//!   ranks of the dynamic one-to-one schedule it replaced. An explicit
+//!   adding a scheme means adding one descriptor. The seven entries are
+//!   three miter schedules (proportional, aligned, one-to-one) plus
+//!   simulation for static pairs, and the reconstruction flow under the
+//!   proportional and aligned schedules plus the fixed-input extraction for
+//!   dynamic pairs. On a reconstructed pair the aligned schedule
+//!   ([`qcec::Strategy::Aligned`]) pairs every gate with its reordered
+//!   twin, so `dynamic-functional(aligned)` decides the paper's QFT, QPE
+//!   and BV rows without leaving the identity. The reference schedule
+//!   ([`qcec::Strategy::Reference`]) is not raced. An explicit
 //!   [`PortfolioConfig::schemes`] list may still name an unregistered
-//!   scheme (such as `DynamicFunctional(OneToOne)`): it runs nothing and
-//!   comes back as a failed [`SchemeReport`] naming the missing entry.
+//!   scheme (such as `DynamicFunctional(OneToOne)` or
+//!   `Functional(Reference)`): it runs nothing and comes back as a failed
+//!   [`SchemeReport`] naming the missing entry.
 //! * **[`scheduler`] — the policy.** [`scheduler::plan`] turns a circuit
 //!   pair, a [`SchedulePolicy`] and recorded telemetry into a launch plan.
 //!   [`SchedulePolicy::Race`] (the default, and the paper's proposal)

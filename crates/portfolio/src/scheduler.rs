@@ -71,13 +71,6 @@ pub struct ScheduledScheme {
     /// earlier, bounding memory without measurable slowdown. `None` keeps
     /// the [`MemoryConfig`](dd::MemoryConfig) default.
     pub gc_hint: Option<usize>,
-    /// Dense-kernel cutoff hint, same contract as
-    /// [`gc_hint`](Self::gc_hint): it can only *lower*
-    /// [`MemoryConfig::dense_cutoff`](dd::MemoryConfig) (toward 0 =
-    /// disabled), never raise it, and only fires on near-identity buckets
-    /// whose recorded peaks say the dense terminal blocks never amortized.
-    /// `None` keeps the configured cutoff.
-    pub dense_hint: Option<u32>,
 }
 
 /// A launch plan for one circuit pair.
@@ -135,7 +128,6 @@ fn unhinted(schemes: impl IntoIterator<Item = Scheme>) -> Vec<ScheduledScheme> {
         .map(|scheme| ScheduledScheme {
             scheme,
             gc_hint: None,
-            dense_hint: None,
         })
         .collect()
 }
@@ -153,32 +145,6 @@ fn gc_hint(stats: &crate::telemetry::SchemeStats) -> Option<usize> {
         .saturating_mul(2)
         .next_power_of_two();
     Some(target.clamp(1 << 14, DEFAULT_GC_THRESHOLD))
-}
-
-/// Largest recorded peak (nodes) below which the dense terminal kernels are
-/// treated as a measured loss on a near-identity bucket. The dense path
-/// pays by amortizing cache misses over wide contiguous amplitude blocks;
-/// a structured miter that never grew past a few thousand nodes never
-/// *had* such blocks, so every dense expansion was conversion overhead.
-/// Peak-node telemetry is a proxy — the kernels are not timed per se —
-/// which is why the hint additionally requires the near-identity bucket,
-/// where the dense-parity benches measured the loss directly.
-pub const DENSE_LOSS_PEAK_CEILING: u64 = 1 << 12;
-
-/// Derives the dense-cutoff hint for one scheme from its bucket stats: on
-/// a near-identity bucket whose recorded peaks all sit under
-/// [`DENSE_LOSS_PEAK_CEILING`], the hint lowers the cutoff to 0 (node-at-
-/// a-time all the way down). Like [`gc_hint`] it never raises anything —
-/// off buckets and schemes without peak history keep the configured
-/// cutoff, so a cold stats file changes nothing.
-fn dense_hint(
-    bucket: &crate::telemetry::FeatureBucket,
-    stats: &crate::telemetry::SchemeStats,
-) -> Option<u32> {
-    if !bucket.near_identity || stats.peak_samples == 0 {
-        return None;
-    }
-    (stats.peak_nodes_max <= DENSE_LOSS_PEAK_CEILING).then_some(0)
 }
 
 /// Builds the launch plan for a circuit pair.
@@ -291,7 +257,6 @@ pub fn plan(
                 .map(|(descriptor, stats)| ScheduledScheme {
                     scheme: descriptor.scheme,
                     gc_hint: stats.and_then(gc_hint),
-                    dense_hint: stats.and_then(|stats| dense_hint(&bucket, stats)),
                 })
                 .collect();
             let (shared, shared_reason) = predicted_sharing();

@@ -73,7 +73,8 @@ impl Scheme {
     }
 
     /// The registry entry describing this scheme, or `None` for a scheme
-    /// the registry does not carry (e.g. `DynamicFunctional(OneToOne)`).
+    /// the registry does not carry (e.g. `DynamicFunctional(OneToOne)` or
+    /// either reference schedule).
     /// [`PortfolioConfig::schemes`] is public, so an explicit scheme list
     /// can name such a scheme; the engine reports it as a failed scheme.
     pub fn descriptor(self) -> Option<&'static SchemeDescriptor> {
@@ -163,14 +164,17 @@ fn dynamic_pair(left: &QuantumCircuit, right: &QuantumCircuit) -> bool {
 
 /// The scheme registry.
 ///
-/// Static pairs get all four miter schedules plus simulation. Dynamic pairs
-/// get the reconstruction flow under the proportional, aligned and
-/// reference schedules plus the fixed-input extraction. There is no dynamic
-/// one-to-one entry: on a reconstructed pair the aligned schedule pairs
-/// every gate with its twin wherever the twin sits, which one-to-one does
-/// only when both circuits happen to list the gates in the same order.
-/// Static `functional(one-to-one)` stays, since it still wins some
-/// compile-chain steps.
+/// Static pairs get the proportional, aligned and one-to-one miter
+/// schedules plus simulation. Dynamic pairs get the reconstruction flow
+/// under the proportional and aligned schedules plus the fixed-input
+/// extraction. There is no dynamic one-to-one entry: on a reconstructed
+/// pair the aligned schedule pairs every gate with its twin wherever the
+/// twin sits, which one-to-one does only when both circuits happen to list
+/// the gates in the same order. Static `functional(one-to-one)` stays,
+/// since it still wins some compile-chain steps. Neither class races the
+/// reference schedule: the aligned schedule decides every paper-size
+/// Table 1 row, and the reference one almost never won a race. It stays a
+/// [`qcec`] strategy for callers that ask for it.
 ///
 /// Race ranks reproduce the historical launch orders: static pairs lead
 /// with the proportional miter schedule, dynamic pairs with the fixed-input
@@ -178,7 +182,7 @@ fn dynamic_pair(left: &QuantumCircuit, right: &QuantumCircuit) -> bool {
 /// (proportional schedule first in both cases). Ranks only order schemes
 /// *within* the applicable subset, so static and dynamic schemes may reuse
 /// rank values.
-pub static REGISTRY: [SchemeDescriptor; 9] = [
+pub static REGISTRY: [SchemeDescriptor; 7] = [
     SchemeDescriptor {
         scheme: Scheme::Functional(Strategy::Proportional),
         applicable: static_pair,
@@ -218,21 +222,10 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
         runner: run_functional_one_to_one,
     },
     SchemeDescriptor {
-        scheme: Scheme::Functional(Strategy::Reference),
+        scheme: Scheme::Simulative,
         applicable: static_pair,
         race_rank: 3,
         sequential_rank: 3,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 2.0,
-        },
-        runner: run_functional_reference,
-    },
-    SchemeDescriptor {
-        scheme: Scheme::Simulative,
-        applicable: static_pair,
-        race_rank: 4,
-        sequential_rank: 4,
         cost: CostProfile {
             proves_equivalence: false,
             relative_cost: 0.8,
@@ -271,17 +264,6 @@ pub static REGISTRY: [SchemeDescriptor; 9] = [
             relative_cost: 1.2,
         },
         runner: run_dynamic_aligned,
-    },
-    SchemeDescriptor {
-        scheme: Scheme::DynamicFunctional(Strategy::Reference),
-        applicable: dynamic_pair,
-        race_rank: 3,
-        sequential_rank: 3,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 2.0,
-        },
-        runner: run_dynamic_reference,
     },
 ];
 
@@ -362,16 +344,6 @@ fn run_functional_one_to_one(
     run_functional(Strategy::OneToOne, left, right, config, budget, store)
 }
 
-fn run_functional_reference(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
-) -> SchemeOutcome {
-    run_functional(Strategy::Reference, left, right, config, budget, store)
-}
-
 fn run_simulative(
     left: &QuantumCircuit,
     right: &QuantumCircuit,
@@ -433,16 +405,6 @@ fn run_dynamic_aligned(
     store: Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome {
     run_dynamic_functional(Strategy::Aligned, left, right, config, budget, store)
-}
-
-fn run_dynamic_reference(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    budget: &Budget,
-    store: Option<&Arc<SharedStore>>,
-) -> SchemeOutcome {
-    run_dynamic_functional(Strategy::Reference, left, right, config, budget, store)
 }
 
 fn run_fixed_input(
@@ -538,7 +500,7 @@ mod tests {
 
     #[test]
     fn ranks_are_unique_within_each_applicability_class() {
-        for (class, expected) in [(static_pair as fn(&_, &_) -> bool, 5), (dynamic_pair, 4)] {
+        for (class, expected) in [(static_pair as fn(&_, &_) -> bool, 4), (dynamic_pair, 3)] {
             let members: Vec<_> = registry()
                 .iter()
                 .filter(|d| std::ptr::fn_addr_eq(d.applicable, class))

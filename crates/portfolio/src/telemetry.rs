@@ -83,9 +83,7 @@ impl PairFeatures {
     /// gate set (`gate_set_diff == 0`) and gate counts within an eighth of
     /// each other — so the miter stays close to the identity. This is the
     /// signature of adjacent compilation-chain steps and of a structured
-    /// (peephole-optimized vs original) pair, and it is where terminal
-    /// dense expansion historically loses: the diagrams never grow dense
-    /// blocks worth vectorizing.
+    /// (peephole-optimized vs original) pair.
     pub fn near_identity(&self) -> bool {
         self.gate_set_diff == 0 && self.gate_count_diff.saturating_mul(8) <= self.gates
     }
@@ -119,8 +117,8 @@ pub struct FeatureBucket {
     /// Whether the two circuits draw on different gate sets.
     pub mixed_gate_set: bool,
     /// Whether the pair is [near-identity](PairFeatures::near_identity) —
-    /// structured miters bucket apart because both the scheme ranking and
-    /// the dense-kernel economics differ there. Stats recorded before this
+    /// structured miters bucket apart because the scheme ranking differs
+    /// there. Stats recorded before this
     /// dimension existed live under the old (suffix-less) keys and simply
     /// go cold: predicted plans over a cold bucket degrade to race plans.
     pub near_identity: bool,

@@ -302,7 +302,7 @@ fn racing_schemes_share_structure_across_threads() {
     let config = PortfolioConfig {
         schemes: vec![
             Scheme::Functional(Strategy::Proportional),
-            Scheme::Functional(Strategy::Reference),
+            Scheme::Functional(Strategy::OneToOne),
         ],
         ..Default::default()
     };
@@ -335,39 +335,55 @@ fn unregistered_scheme_is_reported_as_an_error_instead_of_panicking() {
     // the registry does not carry. It must come back as a failed report,
     // and the registered schemes of the same list still decide the pair.
     let (static_qpe, iqpe) = paper_qpe_pair();
-    let unregistered = Scheme::DynamicFunctional(Strategy::OneToOne);
-    let alone = verify_portfolio(
-        &static_qpe,
-        &iqpe,
-        &PortfolioConfig {
-            schemes: vec![unregistered],
-            ..Default::default()
-        },
-    );
-    assert_eq!(alone.verdict, Equivalence::NoInformation);
-    assert_eq!(alone.winner, None);
-    let report = &alone.schemes[0];
-    assert_eq!(report.scheme, unregistered);
-    assert!(!report.cancelled && report.verdict.is_none());
-    let error = report
-        .error
-        .as_deref()
-        .expect("the missing entry is an error");
-    assert!(error.contains("dynamic-functional(one-to-one)"), "{error}");
+    for (unregistered, name) in [
+        (
+            Scheme::DynamicFunctional(Strategy::OneToOne),
+            "dynamic-functional(one-to-one)",
+        ),
+        (
+            Scheme::Functional(Strategy::Reference),
+            "functional(reference)",
+        ),
+        (
+            Scheme::DynamicFunctional(Strategy::Reference),
+            "dynamic-functional(reference)",
+        ),
+    ] {
+        let alone = verify_portfolio(
+            &static_qpe,
+            &iqpe,
+            &PortfolioConfig {
+                schemes: vec![unregistered],
+                ..Default::default()
+            },
+        );
+        assert_eq!(alone.verdict, Equivalence::NoInformation, "{name}");
+        assert_eq!(alone.winner, None, "{name}");
+        let report = &alone.schemes[0];
+        assert_eq!(report.scheme, unregistered);
+        assert!(!report.cancelled && report.verdict.is_none(), "{name}");
+        let error = report
+            .error
+            .as_deref()
+            .expect("the missing entry is an error");
+        assert!(error.contains("has no registry entry"), "{error}");
+        assert!(error.contains(name), "{error}");
 
-    let mixed = verify_portfolio(
-        &static_qpe,
-        &iqpe,
-        &PortfolioConfig {
-            schemes: vec![unregistered, Scheme::DynamicFunctional(Strategy::Aligned)],
-            ..Default::default()
-        },
-    );
-    assert_eq!(mixed.verdict, Equivalence::Equivalent);
-    assert_eq!(
-        mixed.winner,
-        Some(Scheme::DynamicFunctional(Strategy::Aligned))
-    );
+        let mixed = verify_portfolio(
+            &static_qpe,
+            &iqpe,
+            &PortfolioConfig {
+                schemes: vec![unregistered, Scheme::DynamicFunctional(Strategy::Aligned)],
+                ..Default::default()
+            },
+        );
+        assert_eq!(mixed.verdict, Equivalence::Equivalent, "{name}");
+        assert_eq!(
+            mixed.winner,
+            Some(Scheme::DynamicFunctional(Strategy::Aligned)),
+            "{name}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ fn paper_qpe_pair() -> (circuit::QuantumCircuit, circuit::QuantumCircuit) {
 
 /// Seeds `store` so that `winner` looks like a fast, reliable winner for the
 /// bucket of (`left`, `right`) while every other applicable scheme looks
-/// slow and losing.
+/// slow and losing. `winner` may be a scheme the registry does not carry,
+/// as in a stats file recorded before it was dropped.
 fn seed_winner(
     store: &mut TelemetryStore,
     left: &circuit::QuantumCircuit,
@@ -24,24 +25,28 @@ fn seed_winner(
     winner: Scheme,
 ) {
     let bucket = PairFeatures::extract(left, right).bucket();
+    let loser = SchemeStats {
+        launches: 10,
+        total_secs: 5.0,
+        ..Default::default()
+    };
     for scheme in portfolio::applicable_schemes(left, right) {
-        let mut stats = SchemeStats {
-            launches: 10,
-            total_secs: 5.0,
-            ..Default::default()
-        };
-        if scheme == winner {
-            stats.wins = 10;
-            stats.conclusive = 10;
-            stats.win_secs = 0.1;
-            stats.peak_nodes_max = 1000;
-            stats.peak_nodes_sum = 9000;
-            stats.peak_samples = 10;
-        }
         store
             .schemes
-            .insert(TelemetryStore::key(scheme, &bucket), stats);
+            .insert(TelemetryStore::key(scheme, &bucket), loser);
     }
+    let stats = SchemeStats {
+        wins: 10,
+        conclusive: 10,
+        win_secs: 0.1,
+        peak_nodes_max: 1000,
+        peak_nodes_sum: 9000,
+        peak_samples: 10,
+        ..loser
+    };
+    store
+        .schemes
+        .insert(TelemetryStore::key(winner, &bucket), stats);
     store.races += 10;
 }
 
@@ -82,7 +87,6 @@ fn predicted_top_k_ordering_is_deterministic_given_seeded_stats() {
             vec![
                 Scheme::Functional(Strategy::Aligned),
                 Scheme::Functional(Strategy::OneToOne),
-                Scheme::Functional(Strategy::Reference),
             ]
         );
         assert_eq!(plan.escalate_after, Some(Duration::from_secs(1)));
@@ -108,44 +112,56 @@ fn predicted_winner_carries_a_gc_hint_from_peak_telemetry() {
 }
 
 #[test]
-fn dense_hint_fires_only_on_near_identity_buckets_with_small_peaks() {
-    // Identical circuits bucket as near-identity, and the seeded winner's
-    // peak telemetry (max 1000 nodes) is under the dense-loss ceiling:
-    // dense apply is predicted to be a loss and hinted off.
-    let left = ghz::ghz(10, false);
-    let right = ghz::ghz(10, false);
+fn stats_with_reference_keys_load_and_never_launch_them() {
+    // Stats files recorded while the reference schedules were still raced
+    // hold `functional(reference)@…` and `dynamic-functional(reference)@…`
+    // keys. They must keep loading, and a predicted plan must never launch
+    // an unregistered scheme, however well its recorded history scores.
+    let dir = std::env::temp_dir().join(format!(
+        "scheduler-test-reference-keys-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let pairs = [
+        (
+            ghz::ghz(10, false),
+            ghz::ghz(10, false),
+            Scheme::Functional(Strategy::Reference),
+        ),
+        (
+            qft::qft_static(10, None, true),
+            qft::qft_dynamic(10),
+            Scheme::DynamicFunctional(Strategy::Reference),
+        ),
+    ];
+    let mut recorded = TelemetryStore::new();
+    for (left, right, reference) in &pairs {
+        seed_winner(&mut recorded, left, right, *reference);
+    }
+    let path = dir.join("stats.json");
+    recorded.save(&path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"functional(reference)@"), "{text}");
+    assert!(text.contains("\"dynamic-functional(reference)@"), "{text}");
+    let loaded = TelemetryStore::load(&path).expect("reference keys must still load");
+    let _ = std::fs::remove_dir_all(&dir);
+
     let config = PortfolioConfig {
         policy: SchedulePolicy::predicted(),
         ..Default::default()
     };
-    let mut store = TelemetryStore::new();
-    seed_winner(&mut store, &left, &right, Scheme::Simulative);
-    let near_plan = plan(&left, &right, &config, Some(&store));
-    assert_eq!(near_plan.primary[0].dense_hint, Some(0));
-    // Losing schemes were seeded without peak samples: no evidence, no hint.
-    assert_eq!(near_plan.primary[1].dense_hint, None);
-
-    // Same bucket, but the winner's miters peaked above the ceiling — the
-    // pair built dense blocks worth vectorizing, so the hint must not fire.
-    let bucket = PairFeatures::extract(&left, &right).bucket();
-    assert!(bucket.near_identity, "identical circuits are near-identity");
-    let key = TelemetryStore::key(Scheme::Simulative, &bucket);
-    store.schemes.get_mut(&key).unwrap().peak_nodes_max =
-        portfolio::scheduler::DENSE_LOSS_PEAK_CEILING + 1;
-    let big_plan = plan(&left, &right, &config, Some(&store));
-    assert_eq!(big_plan.primary[0].dense_hint, None);
-
-    // A pair whose bucket is *not* near-identity never gets the hint, no
-    // matter how small its peaks measured.
-    let far_left = qft::qft_static(10, None, true);
-    let far_right = ghz::ghz(10, false);
-    let far_bucket = PairFeatures::extract(&far_left, &far_right).bucket();
-    assert!(!far_bucket.near_identity);
-    let mut far_store = TelemetryStore::new();
-    seed_winner(&mut far_store, &far_left, &far_right, Scheme::Simulative);
-    let far_plan = plan(&far_left, &far_right, &config, Some(&far_store));
-    for scheduled in far_plan.primary.iter().chain(far_plan.reserve.iter()) {
-        assert_eq!(scheduled.dense_hint, None, "{:?}", scheduled.scheme);
+    for (left, right, reference) in &pairs {
+        let plan = plan(left, right, &config, Some(&loaded));
+        assert!(plan.predicted, "the bucket's stats must steer the plan");
+        let launched: Vec<Scheme> = plan.all_schemes().map(|s| s.scheme).collect();
+        assert!(
+            !launched.contains(reference),
+            "{reference} is unregistered but planned: {launched:?}"
+        );
+        assert_eq!(
+            launched.len(),
+            portfolio::applicable_schemes(left, right).len()
+        );
     }
 }
 
@@ -180,7 +196,6 @@ fn empty_stats_degrade_predicted_to_exact_race_plan() {
             Scheme::FixedInput,
             Scheme::DynamicFunctional(Strategy::Proportional),
             Scheme::DynamicFunctional(Strategy::Aligned),
-            Scheme::DynamicFunctional(Strategy::Reference),
         ]
     );
 }
@@ -200,7 +215,6 @@ fn tiny_pairs_get_a_sequential_plan_under_both_policies() {
             Scheme::DynamicFunctional(Strategy::Proportional),
             Scheme::FixedInput,
             Scheme::DynamicFunctional(Strategy::Aligned),
-            Scheme::DynamicFunctional(Strategy::Reference),
         ]
     );
 
