@@ -193,8 +193,8 @@ fn bench_shared_vs_private(c: &mut Criterion) {
              treat speedups within ~1.3x of parity as noise, not signal",
             "cross_thread_hit_rate counts canonical-store hits only; compute-table reuse is \
              invisible here, so low rates do not mean no sharing",
-            "shared_peak_nodes is a store-lifetime gauge, not a per-race delta: a warm store \
-             inflates it",
+            "shared_peak_nodes is the peak of the race's own store, which holds every racing \
+             scheme's structure at once: it is not one scheme's miter size",
             "contention and epoch counters come from the single instrumented run, not the \
              timed min-of-7 — one barrier landing differently can move them",
         ],
@@ -259,7 +259,6 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
             &instance.static_circuit,
             &instance.dynamic_circuit,
             &race_config,
-            None,
             Some(&warm_stats),
         );
         let fresh = Mutex::new(TelemetryStore::new());
@@ -267,7 +266,6 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
             &instance.static_circuit,
             &instance.dynamic_circuit,
             &predicted_config,
-            None,
             Some(&fresh),
         );
         assert!(
@@ -306,7 +304,6 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
             static_circuit,
             dynamic_circuit,
             &predicted_config,
-            None,
             Some(&warm_stats),
         );
         assert!(
@@ -334,7 +331,6 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
                 static_circuit,
                 dynamic_circuit,
                 &predicted_config,
-                None,
                 Some(&warm_stats),
             )
         })
@@ -413,7 +409,6 @@ fn bench_predicted_vs_race(c: &mut Criterion) {
                     static_circuit,
                     dynamic_circuit,
                     config,
-                    None,
                     Some(&warm_stats),
                 )
             })

@@ -1,23 +1,17 @@
-//! CI smoke guards for shared-package racing and warm batch stores.
+//! CI smoke guard for shared-package racing.
 //!
-//! 1. On the tiny acceptance pair (the paper's 3-bit QPE/IQPE example,
-//!    forced onto the threaded racing path), the shared-store race must not
-//!    be meaningfully slower than racing private per-scheme packages.
-//! 2. A batch of three QFT-12 pairs with warm stores (the default) must be
-//!    no slower than the same batch on cold per-pair stores, must report
-//!    warm hits on every pair after the first, and must reach the same
-//!    verdicts as fully private packages.
+//! On the tiny acceptance pair (the paper's 3-bit QPE/IQPE example, forced
+//! onto the threaded racing path), the shared-store race must not be
+//! meaningfully slower than racing private per-scheme packages.
 //!
 //! Sub-millisecond races are dominated by thread spawn and cancellation
-//! latency, so the guards use minima over several runs and constant slack:
-//! they exist to catch *gross* regressions (a serialized store, a lock held
-//! across a recursion, a warm store poisoning later pairs), not to referee
-//! microsecond noise. The verdict equality checks guard correctness of the
-//! shared paths at the same time.
+//! latency, so the guard uses minima over several runs and constant slack:
+//! it exists to catch *gross* regressions (a serialized store, a lock held
+//! across a recursion), not to referee microsecond noise. The verdict
+//! equality check guards correctness of the shared path at the same time.
 
 use bench::{build_instance, min_wall_time, Family};
 use criterion::{criterion_group, criterion_main, Criterion};
-use portfolio::batch::{run_batch, BatchOptions, Manifest, PairSpec};
 use portfolio::{applicable_schemes, verify_portfolio, PortfolioConfig};
 use std::time::Duration;
 
@@ -70,87 +64,5 @@ fn shared_racing_smoke(_c: &mut Criterion) {
     );
 }
 
-fn warm_store_batch_smoke(_c: &mut Criterion) {
-    // Three identical-width QFT-12 pairs (the ISSUE's acceptance workload):
-    // warm stores must help, not hurt, and must not change verdicts.
-    let instance = build_instance(Family::Qft, 12);
-    let dir = std::env::temp_dir().join(format!("warm-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create smoke dir");
-    let mut manifest = Manifest {
-        pairs: Vec::new(),
-        chains: None,
-    };
-    for i in 0..3 {
-        let left = dir.join(format!("qft12_{i}.left.qasm"));
-        let right = dir.join(format!("qft12_{i}.right.qasm"));
-        std::fs::write(&left, circuit::qasm::to_qasm(&instance.static_circuit)).unwrap();
-        std::fs::write(&right, circuit::qasm::to_qasm(&instance.dynamic_circuit)).unwrap();
-        manifest.pairs.push(PairSpec {
-            name: Some(format!("qft12_{i}")),
-            left: left.to_string_lossy().into_owned(),
-            right: right.to_string_lossy().into_owned(),
-            qubits: None,
-        });
-    }
-
-    // One worker so the three pairs share one pooled store in order.
-    let warm_options = BatchOptions {
-        workers: 1,
-        ..BatchOptions::default()
-    };
-    let cold_options = BatchOptions {
-        workers: 1,
-        warm_stores: false,
-        ..BatchOptions::default()
-    };
-    let private_options = BatchOptions {
-        workers: 1,
-        portfolio: PortfolioConfig {
-            shared_package: false,
-            ..PortfolioConfig::default()
-        },
-        ..BatchOptions::default()
-    };
-
-    let warm_report = run_batch(&manifest, &warm_options);
-    let private_report = run_batch(&manifest, &private_options);
-    for (w, p) in warm_report.pairs.iter().zip(private_report.pairs.iter()) {
-        assert_eq!(
-            w.verdict, p.verdict,
-            "warm stores changed the `{}` verdict vs private packages",
-            w.name
-        );
-    }
-    assert!(
-        warm_report.warm_hits_total > 0,
-        "three same-width pairs must produce warm hits"
-    );
-    for pair in &warm_report.pairs[1..] {
-        let store = pair.shared_store.as_ref().expect("warm store telemetry");
-        assert!(
-            store.warm_hits > 0,
-            "pair `{}` after the first should be warm: {store:?}",
-            pair.name
-        );
-    }
-
-    let runs = 3;
-    let warm = min_wall_time(runs, || run_batch(&manifest, &warm_options));
-    let cold = min_wall_time(runs, || run_batch(&manifest, &cold_options));
-    println!(
-        "shared_smoke/warm-qft12: warm {:.3}ms vs cold {:.3}ms ({:.2}x)",
-        warm.as_secs_f64() * 1e3,
-        cold.as_secs_f64() * 1e3,
-        cold.as_secs_f64() / warm.as_secs_f64(),
-    );
-    assert!(
-        warm <= cold + Duration::from_millis(50),
-        "warm stores regressed the batch: warm {warm:?} vs cold {cold:?}"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-criterion_group!(benches, shared_racing_smoke, warm_store_batch_smoke);
+criterion_group!(benches, shared_racing_smoke);
 criterion_main!(benches);

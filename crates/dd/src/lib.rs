@@ -126,9 +126,9 @@
 //!   at most one attached workspace at a time: a second one can never park
 //!   while its sibling runs. Workspaces attached later pin the current
 //!   generation and can never see a stale slot.
-//! * **Warm reuse:** a store may outlive a race (the portfolio batch driver
-//!   pools one per register width); [`SharedStore::begin_race`] marks the
-//!   boundary and hits on pre-existing structure are reported as warm hits.
+//! * **One store per race:** the portfolio creates a fresh store for each
+//!   race and drops it with the race, so nothing carries over between
+//!   circuit pairs and a store's stats are its race's own.
 //! * **Panic isolation:** store locks recover from poisoning (their
 //!   critical sections keep the data consistent at every panic point), so
 //!   one panicking racer cannot take the store — or the other racers —

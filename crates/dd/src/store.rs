@@ -100,15 +100,12 @@
 //! attaching later pin the freshly published generation and can never
 //! observe a stale slot.
 //!
-//! # Warm reuse across races
+//! # Lifetime
 //!
-//! A store may outlive a race: the batch driver keeps one store per register
-//! width alive across circuit pairs, running a barrier collection between
-//! pairs so only the gate-diagram cache (a GC root) and the canonical nodes
-//! under it carry over. [`SharedStore::begin_race`] marks the boundary;
-//! canonical hits on structure that predates the mark are counted as
-//! [`SharedStoreStats::warm_hits`] — the cross-*pair* sharing the pool
-//! exists for.
+//! A store lives for one race: the portfolio creates it when the race
+//! starts and drops it once every workspace has detached. Nothing carries
+//! over from one circuit pair to the next, so [`SharedStore::stats`] read
+//! after a race describes that race alone.
 //!
 //! # Lock poisoning
 //!
@@ -501,7 +498,7 @@ impl SharedComplexTable {
 }
 
 /// A unique-table entry: the canonical node id plus the workspace that first
-/// interned it (for cross-thread and warm-reuse telemetry).
+/// interned it (for cross-thread telemetry).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Interned {
     pub(crate) id: u32,
@@ -536,7 +533,8 @@ pub(crate) struct BarrierState {
     pub(crate) published: Vec<PublishedRoots>,
 }
 
-/// Aggregate telemetry of a [`SharedStore`].
+/// Aggregate telemetry of a [`SharedStore`] since it was created — for the
+/// portfolio's per-race stores, the telemetry of one race.
 ///
 /// Workspace-local counters (intern hits, cross-thread hits) are flushed
 /// into the store when a workspace detaches, so the totals are complete once
@@ -545,7 +543,7 @@ pub(crate) struct BarrierState {
 pub struct SharedStoreStats {
     /// Live nodes (both kinds) right now.
     pub live_nodes: usize,
-    /// Highest live node count ever observed.
+    /// Highest live node count since the store was created.
     pub peak_nodes: usize,
     /// Nodes ever allocated across all workspaces (unique-table misses).
     pub allocated_nodes: u64,
@@ -564,16 +562,6 @@ pub struct SharedStoreStats {
     /// Subset of `intern_hits` where the entry was created by a *different*
     /// workspace — the cross-thread sharing the store exists for.
     pub cross_thread_hits: u64,
-    /// Subset of [`cross_thread_hits`](Self::cross_thread_hits) served by
-    /// structure that predates the last [`SharedStore::begin_race`] mark —
-    /// cross-*pair* reuse of a warm store kept alive by the batch driver.
-    pub warm_hits: u64,
-    /// Subset of [`warm_hits`](Self::warm_hits) served by structure interned
-    /// *since* the last [`SharedStore::begin_chain`] mark — carry-over from
-    /// an earlier step of the same verification chain. The remainder
-    /// (`warm_hits − chain_hits`) is reuse of structure that predates the
-    /// chain, i.e. batch shelf reuse. Zero outside a chain.
-    pub chain_hits: u64,
     /// Hot-path lock acquisitions (unique-table shards, shared gate cache,
     /// complex-table stripes and lanes) that found the lock held and had to
     /// block.
@@ -620,13 +608,12 @@ impl SharedStoreStats {
 
 /// The thread-safe shared core of a set of decision-diagram workspaces.
 ///
-/// Create one per circuit pair (or longer-lived unit of sharing, e.g. the
-/// batch driver's per-width warm stores), then attach one workspace per
-/// thread with [`workspace`](Self::workspace) /
-/// [`workspace_with`](Self::workspace_with). Workspaces of *different* qubit
-/// counts may share a store: unique tables are sharded by node hash, not by
-/// level, so a miter package and a reconstruction package with extra
-/// ancillas still share their common low-level subdiagrams.
+/// Create one per race, then attach one workspace per thread with
+/// [`workspace`](Self::workspace) / [`workspace_with`](Self::workspace_with).
+/// Workspaces of *different* qubit counts may share a store: unique tables
+/// are sharded by node hash, not by level, so a miter package and a
+/// reconstruction package with extra ancillas still share their common
+/// low-level subdiagrams.
 ///
 /// # Examples
 ///
@@ -672,15 +659,6 @@ pub struct SharedStore {
     pub(crate) barrier_cv: Condvar,
     pub(crate) attached: AtomicUsize,
     next_workspace: AtomicU32,
-    /// Workspace ids below this mark predate the current race (see
-    /// [`begin_race`](Self::begin_race)); hits on their entries count as
-    /// warm hits.
-    pub(crate) warm_floor: AtomicU32,
-    /// Workspace ids at or above this mark (but below the warm floor) were
-    /// attached by earlier steps of the current verification chain (see
-    /// [`begin_chain`](Self::begin_chain)); warm hits on their entries count
-    /// as chain hits. `u32::MAX` outside a chain, so nothing qualifies.
-    pub(crate) chain_floor: AtomicU32,
     pub(crate) vlive: AtomicUsize,
     pub(crate) mlive: AtomicUsize,
     pub(crate) peak_nodes: AtomicUsize,
@@ -690,8 +668,6 @@ pub struct SharedStore {
     pub(crate) gc_barrier_runs: AtomicUsize,
     pub(crate) intern_hits: AtomicU64,
     pub(crate) cross_thread_hits: AtomicU64,
-    pub(crate) warm_hits: AtomicU64,
-    pub(crate) chain_hits: AtomicU64,
     pub(crate) shard_lock_waits: AtomicU64,
     pub(crate) shard_contention_ns: AtomicU64,
     pub(crate) epoch_pins: AtomicU64,
@@ -731,8 +707,6 @@ impl SharedStore {
             barrier_cv: Condvar::new(),
             attached: AtomicUsize::new(0),
             next_workspace: AtomicU32::new(0),
-            warm_floor: AtomicU32::new(0),
-            chain_floor: AtomicU32::new(u32::MAX),
             vlive: AtomicUsize::new(0),
             mlive: AtomicUsize::new(0),
             peak_nodes: AtomicUsize::new(0),
@@ -742,8 +716,6 @@ impl SharedStore {
             gc_barrier_runs: AtomicUsize::new(0),
             intern_hits: AtomicU64::new(0),
             cross_thread_hits: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            chain_hits: AtomicU64::new(0),
             shard_lock_waits: AtomicU64::new(0),
             shard_contention_ns: AtomicU64::new(0),
             epoch_pins: AtomicU64::new(0),
@@ -771,41 +743,6 @@ impl SharedStore {
         config: MemoryConfig,
     ) -> DdPackage {
         DdPackage::attached(self, n_qubits, budget, config)
-    }
-
-    /// Marks a race boundary for warm-reuse telemetry: canonical hits on
-    /// structure interned *before* this call are counted as
-    /// [`SharedStoreStats::warm_hits`] by workspaces attached after it.
-    ///
-    /// The batch driver calls this when handing a pooled store to the next
-    /// circuit pair; on a fresh store the call is a no-op (nothing predates
-    /// it).
-    pub fn begin_race(&self) {
-        self.warm_floor.store(
-            self.next_workspace.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Marks the start of a verification *chain*: until
-    /// [`end_chain`](Self::end_chain), warm hits on structure interned after
-    /// this call (i.e. by an earlier step of the same chain, once
-    /// [`begin_race`](Self::begin_race) has advanced past it) are counted as
-    /// [`SharedStoreStats::chain_hits`], separating chain carry-over from
-    /// reuse of structure the store held before the chain began (batch shelf
-    /// reuse).
-    pub fn begin_chain(&self) {
-        self.chain_floor.store(
-            self.next_workspace.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Ends the chain started by [`begin_chain`](Self::begin_chain): later
-    /// warm hits count as plain shelf reuse again. Accumulated
-    /// [`SharedStoreStats::chain_hits`] are kept (counters are cumulative).
-    pub fn end_chain(&self) {
-        self.chain_floor.store(u32::MAX, Ordering::Relaxed);
     }
 
     /// Number of workspaces currently attached.
@@ -866,8 +803,6 @@ impl SharedStore {
             complex_entries: self.ctab.live_len(),
             intern_hits: self.intern_hits.load(Ordering::Relaxed),
             cross_thread_hits: self.cross_thread_hits.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            chain_hits: self.chain_hits.load(Ordering::Relaxed),
             shard_lock_waits: self.shard_lock_waits.load(Ordering::Relaxed),
             shard_contention_ns: self.shard_contention_ns.load(Ordering::Relaxed),
             epoch_pins: self.epoch_pins.load(Ordering::Relaxed),
@@ -891,13 +826,6 @@ impl SharedStore {
 pub(crate) struct SharedHandle {
     pub(crate) store: Arc<SharedStore>,
     pub(crate) ws_id: u32,
-    /// Snapshot of the store's warm floor at attach time: entries owned by
-    /// workspaces below it predate this race.
-    warm_floor: u32,
-    /// Snapshot of the store's chain floor at attach time: entries owned by
-    /// workspaces at or above it (but below the warm floor) were interned by
-    /// an earlier step of the current chain.
-    chain_floor: u32,
     /// The pinned generation: all reads below its lengths are lock-free.
     pin: Arc<Generation>,
     /// Epoch tails: copies of arena/lane slots allocated *after* the pin
@@ -920,8 +848,6 @@ pub(crate) struct SharedHandle {
     bits_memo: LossyCache<(u64, u64), CIdx>,
     pub(crate) intern_hits: u64,
     pub(crate) cross_thread_hits: u64,
-    pub(crate) warm_hits: u64,
-    pub(crate) chain_hits: u64,
     /// Hot-path lock acquisitions that had to block (see `lock_timed`).
     shard_lock_waits: u64,
     /// Nanoseconds spent blocked in those acquisitions.
@@ -946,8 +872,6 @@ impl SharedHandle {
         SharedHandle {
             store: Arc::clone(store),
             ws_id: store.next_workspace.fetch_add(1, Ordering::Relaxed),
-            warm_floor: store.warm_floor.load(Ordering::Relaxed),
-            chain_floor: store.chain_floor.load(Ordering::Relaxed),
             pin: store.current_generation(),
             vtail: RefCell::new(Vec::new()),
             mtail: RefCell::new(Vec::new()),
@@ -961,8 +885,6 @@ impl SharedHandle {
             bits_memo: LossyCache::new("shared_intern", MEMO_BITS),
             intern_hits: 0,
             cross_thread_hits: 0,
-            warm_hits: 0,
-            chain_hits: 0,
             shard_lock_waits: 0,
             shard_contention_ns: 0,
             epoch_pins: 1,
@@ -975,12 +897,6 @@ impl SharedHandle {
         self.intern_hits += 1;
         if owner != self.ws_id {
             self.cross_thread_hits += 1;
-            if owner < self.warm_floor {
-                self.warm_hits += 1;
-                if owner >= self.chain_floor {
-                    self.chain_hits += 1;
-                }
-            }
         }
     }
 
@@ -1462,12 +1378,6 @@ impl Drop for SharedHandle {
             .cross_thread_hits
             .fetch_add(self.cross_thread_hits, Ordering::Relaxed);
         self.store
-            .warm_hits
-            .fetch_add(self.warm_hits, Ordering::Relaxed);
-        self.store
-            .chain_hits
-            .fetch_add(self.chain_hits, Ordering::Relaxed);
-        self.store
             .shard_lock_waits
             .fetch_add(self.shard_lock_waits, Ordering::Relaxed);
         self.store
@@ -1523,75 +1433,6 @@ mod tests {
         collector.garbage_collect();
         let rebuilt = collector.make_gate(&gates::h(), 0, &[]);
         assert_eq!(rebuilt, gate, "canonicity lost across poison recovery");
-    }
-
-    #[test]
-    fn warm_hits_count_reuse_of_pre_race_structure() {
-        let store = SharedStore::new();
-        let mut first = store.workspace(3);
-        let gate = first.make_gate(&gates::h(), 1, &[]);
-        drop(first);
-        assert_eq!(store.stats().warm_hits, 0, "same race: nothing is warm");
-
-        store.begin_race();
-        let mut second = store.workspace(3);
-        assert_eq!(second.make_gate(&gates::h(), 1, &[]), gate);
-        drop(second);
-        let stats = store.stats();
-        assert!(
-            stats.warm_hits > 0,
-            "reuse across begin_race must count as warm: {stats:?}"
-        );
-        assert!(stats.warm_hits <= stats.cross_thread_hits);
-    }
-
-    #[test]
-    fn chain_hits_split_chain_carry_over_from_shelf_reuse() {
-        // Shelf structure: built before the chain begins.
-        let store = SharedStore::new();
-        let mut shelf = store.workspace(3);
-        let shelf_gate = shelf.make_gate(&gates::h(), 0, &[]);
-        drop(shelf);
-
-        // Chain step 1 builds fresh structure on top of the shelf.
-        store.begin_chain();
-        store.begin_race();
-        let mut step1 = store.workspace(3);
-        assert_eq!(step1.make_gate(&gates::h(), 0, &[]), shelf_gate);
-        let step_gate = step1.make_gate(&gates::x(), 1, &[]);
-        drop(step1);
-        let after_step1 = store.stats();
-        assert!(after_step1.warm_hits > 0, "shelf reuse must be warm");
-        assert_eq!(
-            after_step1.chain_hits, 0,
-            "step 1 can only reuse pre-chain structure: {after_step1:?}"
-        );
-
-        // Chain step 2 reuses both shelf and step-1 structure; only the
-        // latter counts as chain carry-over.
-        store.begin_race();
-        let mut step2 = store.workspace(3);
-        assert_eq!(step2.make_gate(&gates::h(), 0, &[]), shelf_gate);
-        assert_eq!(step2.make_gate(&gates::x(), 1, &[]), step_gate);
-        drop(step2);
-        let after_step2 = store.stats();
-        assert!(
-            after_step2.chain_hits > after_step1.chain_hits,
-            "step-1 structure reused in step 2 must count as chain carry-over: {after_step2:?}"
-        );
-        assert!(after_step2.chain_hits <= after_step2.warm_hits);
-
-        // After the chain ends, reuse counts as shelf again.
-        store.end_chain();
-        store.begin_race();
-        let mut later = store.workspace(3);
-        assert_eq!(later.make_gate(&gates::x(), 1, &[]), step_gate);
-        drop(later);
-        let final_stats = store.stats();
-        assert_eq!(
-            final_stats.chain_hits, after_step2.chain_hits,
-            "chain hits must not grow outside a chain: {final_stats:?}"
-        );
     }
 
     #[test]

@@ -105,10 +105,6 @@ catalog! {
     PF_ESCALATIONS_DRAIN = ("portfolio.escalations.drain", Unit::Count, "drain escalations indict the prediction, stall escalations may only indict the deadline");
     /// Batch pairs verified.
     BATCH_PAIRS = ("batch.pairs", Unit::Count, "includes pairs that errored during parse; see the report's failed count");
-    /// Warm store checkouts (a pooled store of the right width existed).
-    BATCH_WARM_CHECKOUTS = ("batch.warm_checkouts", Unit::Count, "warm means reused, not faster: a bloated warm store can lose to a cold one");
-    /// Cold store checkouts (a fresh store had to be built).
-    BATCH_COLD_CHECKOUTS = ("batch.cold_checkouts", Unit::Count, "first pair of every width is necessarily cold; the interesting signal is colds after warm-up");
     /// Process resolved the AVX2 kernel backend (at most 1 per process).
     DD_KERNEL_BACKEND_AVX2 = ("dd.kernels.backend_avx2", Unit::Count, "records the dispatch decision, not usage: a process can select AVX2 and never run a single kernel");
     /// Process resolved the scalar kernel backend (at most 1 per process).
@@ -133,8 +129,6 @@ catalog! {
     CHAIN_REQUESTS = ("chain.requests", Unit::Count, "a chain that refutes at step 1 and one that verifies 5 steps both count once; see chain.steps for work done");
     /// Adjacent-pair verifications executed inside chains.
     CHAIN_STEPS = ("chain.steps", Unit::Count, "steps verified, not steps requested: a refuted or errored chain stops early and its remaining steps never count");
-    /// Between-request warm-store prunes skipped because the next queued request reuses the same width.
-    BATCH_POOL_GC_SKIPS = ("batch.pool_gc_skips", Unit::Count, "a skip trusts the submitter's width hint; a wrong hint skips a prune for a pair that never materialises at that width");
 }
 
 macro_rules! hist_catalog {

@@ -23,7 +23,7 @@
 //! [`manifest_from_dir`], which pairs files by shared stem: `X.left.qasm` +
 //! `X.right.qasm` (also accepted: `X_left/X_right`, `X_a/X_b`). The
 //! optional `chains` array (a *pipeline manifest*) lists compilation chains
-//! verified pass-by-pass on one warm store — see [`crate::chain`].
+//! verified pass-by-pass — see [`crate::chain`].
 //!
 //! [`run_batch`] is the library entry point behind the `verify` binary; it
 //! is what the ROADMAP calls the workload entry point for heavy traffic —
@@ -37,12 +37,9 @@ use crate::engine::{
 use crate::scheme::Scheme;
 use crate::service::{Request, ServiceConfig, VerificationService};
 use crate::telemetry::TelemetryStore;
-use dd::SharedStore;
 use qcec::Equivalence;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One circuit pair of a batch workload.
@@ -54,11 +51,8 @@ pub struct PairSpec {
     pub left: String,
     /// Path to the right (candidate) circuit, relative to the manifest.
     pub right: String,
-    /// Register width hint (max qubits of the two circuits). Lets the
-    /// service skip the between-request store prune when the next queued
-    /// request reuses the width; purely an optimisation, never affects
-    /// verdicts. Corpus generators fill it in; hand-written manifests can
-    /// omit it.
+    /// Register width (max qubits of the two circuits). Nothing reads it;
+    /// it stays so that manifests carrying the key keep their format.
     pub qubits: Option<usize>,
 }
 
@@ -225,20 +219,6 @@ pub struct BatchOptions {
     pub workers: usize,
     /// Portfolio configuration applied to every pair.
     pub portfolio: PortfolioConfig,
-    /// Keep one shared store per register width alive across pairs
-    /// ([`StorePool`]; default `true`): the gate-diagram L2 cache and the
-    /// canonical nodes under it survive from pair to pair, turning batch
-    /// workloads into cross-*pair* sharing. A barrier collection runs
-    /// between pairs to bound the carry-over. Requires
-    /// [`PortfolioConfig::shared_package`]; ignored (cold stores) when that
-    /// is off.
-    pub warm_stores: bool,
-    /// Most register widths the warm-store pool retains shelves for
-    /// (default [`DEFAULT_STORE_SHELVES`]): very heterogeneous batches
-    /// would otherwise pin every width's node arenas for the whole run.
-    /// Least-recently-used widths are evicted first. `verify
-    /// --store-shelves N` sets this.
-    pub store_shelves: usize,
     /// Optional persistent telemetry file (`verify --stats-file`): loaded
     /// before the batch (a missing file starts empty), fed to the
     /// scheduler of every pair, folded with the batch's new reports and
@@ -258,174 +238,8 @@ impl Default for BatchOptions {
             // threads near the hardware width.
             workers: (parallelism / 4).max(1),
             portfolio: PortfolioConfig::default(),
-            warm_stores: true,
-            store_shelves: DEFAULT_STORE_SHELVES,
             stats: None,
         }
-    }
-}
-
-/// Default cap on how many register widths [`StorePool`] keeps shelves for.
-pub const DEFAULT_STORE_SHELVES: usize = 4;
-
-/// A pool of warm [`SharedStore`]s keyed by register width, with an LRU cap
-/// on the number of retained widths.
-///
-/// Checkout is exclusive: a store handed to a pair is unavailable until it
-/// is checked back in, so concurrent batch workers of the same width get
-/// separate stores (each worker still reuses its stores across the pairs it
-/// processes) and per-race telemetry deltas stay well-defined. The batch
-/// driver runs a collection before checkin, so only GC roots — the shared
-/// gate-diagram cache and the canonical structure under it — carry over.
-///
-/// Each shelved store pins its width's node arenas and gate cache for the
-/// rest of the batch, so the pool bounds the number of *widths* it retains
-/// (default [`DEFAULT_STORE_SHELVES`]): when a checkin would exceed the cap,
-/// the least-recently-used width's shelf is dropped. Stores currently
-/// checked out are never evicted — they simply face the same cap when they
-/// come back.
-#[derive(Debug)]
-pub struct StorePool {
-    inner: Mutex<PoolInner>,
-    warm_checkouts: AtomicUsize,
-    gc_skips: AtomicUsize,
-    max_widths: usize,
-}
-
-#[derive(Debug, Default)]
-struct PoolInner {
-    shelves: HashMap<usize, Vec<Arc<SharedStore>>>,
-    /// Widths in use order, least recently used first.
-    recency: Vec<usize>,
-}
-
-impl PoolInner {
-    fn touch(&mut self, width: usize) {
-        self.recency.retain(|&w| w != width);
-        self.recency.push(width);
-    }
-
-    fn evict_down_to(&mut self, max_widths: usize) {
-        // Only widths with shelved stores count against the cap (and only
-        // they can be evicted): a width that is merely checked out holds no
-        // idle memory here.
-        while self
-            .shelves
-            .values()
-            .filter(|shelf| !shelf.is_empty())
-            .count()
-            > max_widths
-        {
-            let Some(victim) = self
-                .recency
-                .iter()
-                .copied()
-                .find(|w| self.shelves.get(w).is_some_and(|shelf| !shelf.is_empty()))
-            else {
-                break;
-            };
-            self.shelves.remove(&victim);
-            self.recency.retain(|&w| w != victim);
-        }
-    }
-}
-
-impl Default for StorePool {
-    fn default() -> Self {
-        StorePool::with_shelves(DEFAULT_STORE_SHELVES)
-    }
-}
-
-impl StorePool {
-    /// Creates an empty pool retaining at most [`DEFAULT_STORE_SHELVES`]
-    /// register widths.
-    pub fn new() -> Self {
-        StorePool::default()
-    }
-
-    /// Creates an empty pool retaining at most `max_widths` register widths
-    /// (clamped to at least 1).
-    pub fn with_shelves(max_widths: usize) -> Self {
-        StorePool {
-            inner: Mutex::new(PoolInner::default()),
-            warm_checkouts: AtomicUsize::new(0),
-            gc_skips: AtomicUsize::new(0),
-            max_widths: max_widths.max(1),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoolInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Takes a store for `width` qubits out of the pool (creating a fresh
-    /// one when none is shelved). Returns the store and whether it is warm
-    /// (has served an earlier pair).
-    pub fn checkout(&self, width: usize) -> (Arc<SharedStore>, bool) {
-        let shelved = {
-            let mut inner = self.lock();
-            inner.touch(width);
-            inner.shelves.get_mut(&width).and_then(Vec::pop)
-        };
-        match shelved {
-            Some(store) => {
-                self.warm_checkouts.fetch_add(1, Ordering::Relaxed);
-                (store, true)
-            }
-            None => (SharedStore::new(), false),
-        }
-    }
-
-    /// Returns a store to the pool for the next same-width pair, evicting
-    /// the least-recently-used width beyond the pool's shelf cap.
-    pub fn checkin(&self, width: usize, store: Arc<SharedStore>) {
-        let mut inner = self.lock();
-        inner.shelves.entry(width).or_default().push(store);
-        inner.touch(width);
-        inner.evict_down_to(self.max_widths);
-    }
-
-    /// How many checkouts were served by a warm store.
-    pub fn warm_checkouts(&self) -> usize {
-        self.warm_checkouts.load(Ordering::Relaxed)
-    }
-
-    /// Records that a between-request prune was skipped because the next
-    /// queued request reuses the same register width (e.g. chain steps of
-    /// one pipeline, or a corpus sweep of one width).
-    pub fn note_gc_skip(&self) {
-        self.gc_skips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// How many between-request prunes were skipped (see
-    /// [`note_gc_skip`](Self::note_gc_skip)).
-    pub fn gc_skips(&self) -> usize {
-        self.gc_skips.load(Ordering::Relaxed)
-    }
-
-    /// Number of register widths with at least one shelved store.
-    pub fn shelved_widths(&self) -> usize {
-        self.lock()
-            .shelves
-            .values()
-            .filter(|shelf| !shelf.is_empty())
-            .count()
-    }
-
-    /// Workspaces still attached to *shelved* stores, summed across shelves.
-    ///
-    /// A healthy pool always reports `0`: every race detaches its
-    /// workspaces before the store is checked back in, so a non-zero count
-    /// means a scheme leaked a workspace (and with it an epoch pin and a
-    /// seat in the GC barrier quorum) into the pool. The
-    /// cancellation-on-disconnect tests assert on this.
-    pub fn attached_workspaces(&self) -> usize {
-        self.lock()
-            .shelves
-            .values()
-            .flatten()
-            .map(|store| store.attached_workspaces())
-            .sum()
     }
 }
 
@@ -459,16 +273,10 @@ pub struct PairMetrics {
     pub shard_lock_waits: u64,
     /// Time spent blocked on store locks, summed across threads (seconds).
     pub shard_contention_seconds: f64,
-    /// Canonical hits served by structure carried over from an earlier
-    /// pair on a warm store.
-    pub warm_hits: u64,
-    /// Time the batch driver spent collecting the warm store before
-    /// returning it to the pool (seconds; `0` without warm stores).
-    pub pool_gc_seconds: f64,
 }
 
 impl PairMetrics {
-    pub(crate) fn from_result(result: &PortfolioResult, pool_gc_seconds: f64) -> PairMetrics {
+    pub(crate) fn from_result(result: &PortfolioResult) -> PairMetrics {
         let store = result.shared_store.as_ref();
         PairMetrics {
             shared: result.shared,
@@ -485,8 +293,6 @@ impl PairMetrics {
             barrier_deferrals: store.map_or(0, |s| s.barrier_deferrals),
             shard_lock_waits: store.map_or(0, |s| s.shard_lock_waits),
             shard_contention_seconds: store.map_or(0.0, |s| s.shard_contention_seconds),
-            warm_hits: store.map_or(0, |s| s.warm_hits),
-            pool_gc_seconds,
         }
     }
 }
@@ -516,9 +322,6 @@ pub struct PairReport {
     pub gc_runs: usize,
     /// Best compute-table hit rate any scheme of this pair reported.
     pub cache_hit_rate: Option<f64>,
-    /// Whether this pair ran on a warm store from the batch pool (carrying
-    /// canonical structure over from an earlier same-width pair).
-    pub warm_store: bool,
     /// Whether recorded telemetry steered this pair's launch plan (see
     /// [`PortfolioResult::predicted`](crate::PortfolioResult::predicted)).
     pub predicted: bool,
@@ -526,13 +329,12 @@ pub struct PairReport {
     /// (`"stall"` / `"inconclusive-drain"`), if it did.
     pub escalation: Option<EscalationReason>,
     /// Hot-path metrics digest (cache/sharing hit rates, barrier wait and
-    /// lock contention time, warm reuse) — see [`PairMetrics`].
+    /// lock contention time) — see [`PairMetrics`].
     pub metrics: PairMetrics,
     /// Shared decision-diagram store telemetry of this pair's race (peak
-    /// nodes, cross-thread hit rate, warm hits, carry-over node count,
-    /// store-level GC and barrier-GC runs); `None` when the pair raced with
-    /// private packages or took the sequential fast path without a warm
-    /// store.
+    /// nodes, cross-thread hit rate, store-level GC and barrier-GC runs);
+    /// `None` when the pair raced with private packages or took the
+    /// sequential fast path.
     pub shared_store: Option<SharedStoreReport>,
     /// Per-scheme telemetry.
     pub schemes: Vec<SchemeReport>,
@@ -547,11 +349,9 @@ impl PairReport {
         name: String,
         left: String,
         right: String,
-        warm_store: bool,
-        pool_gc_seconds: f64,
         result: PortfolioResult,
     ) -> PairReport {
-        let metrics = PairMetrics::from_result(&result, pool_gc_seconds);
+        let metrics = PairMetrics::from_result(&result);
         PairReport {
             name,
             left,
@@ -570,7 +370,6 @@ impl PairReport {
                 .fold(None, |best: Option<f64>, rate| {
                     Some(best.map_or(rate, |b| b.max(rate)))
                 }),
-            warm_store,
             predicted: result.predicted,
             escalation: result.escalation,
             metrics,
@@ -602,14 +401,6 @@ pub struct BatchReport {
     pub gc_runs_total: usize,
     /// Mid-race safe-point barrier collections summed over the whole batch.
     pub gc_barrier_runs_total: usize,
-    /// Warm canonical-store hits (reuse of structure carried over from an
-    /// earlier pair, or from an earlier chain step) summed over the whole
-    /// batch; `0` without [`BatchOptions::warm_stores`].
-    pub warm_hits_total: u64,
-    /// Subset of [`warm_hits_total`](Self::warm_hits_total) that is chain
-    /// carry-over: hits on structure an earlier step of the *same chain*
-    /// interned. The headline sharing signal of incremental verification.
-    pub chain_hits_total: u64,
     /// Adjacent-pair verifications (plain pairs + verified chain steps)
     /// completed per wall-clock second — the headline throughput metric.
     /// Caveat: throughput at the *achieved* verdict mix, not at fixed
@@ -646,7 +437,6 @@ pub(crate) fn failed_pair(spec: &PairSpec, name: String, error: String) -> PairR
         peak_nodes: None,
         gc_runs: 0,
         cache_hit_rate: None,
-        warm_store: false,
         predicted: false,
         escalation: None,
         metrics: PairMetrics::default(),
@@ -732,8 +522,6 @@ pub fn run_batch_recorded(
             // A batch never queues more than its own manifest; size the
             // queue so admission control cannot reject.
             max_queue: workload,
-            warm_stores: options.warm_stores,
-            store_shelves: options.store_shelves,
             stats: None,
         },
         seed,
@@ -808,13 +596,6 @@ pub fn run_batch_recorded(
             )
             .map(|s| s.gc_barrier_runs)
             .sum(),
-        warm_hits_total: pairs
-            .iter()
-            .filter_map(|p| p.shared_store.as_ref())
-            .map(|s| s.warm_hits)
-            .sum::<u64>()
-            + chains.iter().map(|c| c.warm_hits).sum::<u64>(),
-        chain_hits_total: chains.iter().map(|c| c.chain_hits).sum(),
         pairs_per_sec: if total_time.as_secs_f64() > 0.0 {
             verifications as f64 / total_time.as_secs_f64()
         } else {
@@ -827,56 +608,5 @@ pub fn run_batch_recorded(
         total_time,
         pairs,
         chains,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn store_pool_evicts_least_recently_used_widths() {
-        let pool = StorePool::with_shelves(2);
-        for width in [4usize, 6, 8] {
-            let (store, warm) = pool.checkout(width);
-            assert!(!warm, "width {width} was never shelved");
-            pool.checkin(width, store);
-        }
-        // Widths 6 and 8 survive; 4 (least recently used) was evicted.
-        assert_eq!(pool.shelved_widths(), 2);
-        assert!(pool.checkout(6).1, "width 6 should still be shelved");
-        assert!(pool.checkout(8).1, "width 8 should still be shelved");
-        assert!(!pool.checkout(4).1, "width 4 should have been evicted");
-    }
-
-    #[test]
-    fn store_pool_checkout_touches_recency() {
-        let pool = StorePool::with_shelves(2);
-        for width in [4usize, 6] {
-            let (store, _) = pool.checkout(width);
-            pool.checkin(width, store);
-        }
-        // Touch width 4 so 6 becomes the eviction victim.
-        let (store, warm) = pool.checkout(4);
-        assert!(warm);
-        pool.checkin(4, store);
-        let (store, _) = pool.checkout(8);
-        pool.checkin(8, store);
-        assert!(pool.checkout(4).1, "width 4 was recently used");
-        assert!(!pool.checkout(6).1, "width 6 was the LRU victim");
-    }
-
-    #[test]
-    fn checked_out_stores_survive_eviction_pressure() {
-        let pool = StorePool::with_shelves(1);
-        let (held, _) = pool.checkout(4);
-        for width in [6usize, 8] {
-            let (store, _) = pool.checkout(width);
-            pool.checkin(width, store);
-        }
-        // The held store was never evictable; returning it applies the cap.
-        pool.checkin(4, held);
-        assert_eq!(pool.shelved_widths(), 1);
-        assert!(pool.checkout(4).1, "the just-returned store is newest");
     }
 }

@@ -6,7 +6,7 @@
 //! verify --chain a.qasm,b.qasm,c.qasm [options]
 //!
 //! `--chain` verifies one compilation pipeline pass-by-pass (adjacent
-//! snapshots, in order, comma-separated) on one warm store; repeat the
+//! snapshots, in order, comma-separated), one race per step; repeat the
 //! flag for several pipelines. A refutation names the guilty pass
 //! (`chain:step2` style). Manifests mix freely: a `chains` array next to
 //! `pairs` does the same thing (see `portfolio::batch`).
@@ -26,8 +26,6 @@
 //!   --policy P        race | predicted — force the launch policy
 //!                     (predicted without --stats-file plans from an empty
 //!                     store, i.e. races)
-//!   --store-shelves N most register widths the warm-store pool retains
-//!                     (LRU-evicted beyond that; default 4)
 //!   --private-packages race schemes on private DD packages, never a shared
 //!                     store (for sharing/contention comparisons). Without
 //!                     it the *scheduler* decides per pair: the race policy
@@ -35,13 +33,9 @@
 //!                     the bucket's recorded sharing telemetry says it pays
 //!                     (the decision+reason land in each pair's metrics
 //!                     block and the race.plan trace event)
-//!   --warm-stores     keep one shared store per register width alive
-//!                     across pairs (default; a barrier GC between pairs
-//!                     bounds the carry-over)
-//!   --cold-stores     create a fresh store per pair instead
 //!   --trace-file FILE write a structured JSONL trace of the run: pair and
 //!                     race spans, scheme launches, verdicts, cancellations,
-//!                     escalations, warm-store and GC-barrier activity, all
+//!                     escalations and GC-barrier activity, all
 //!                     tagged with pair/scheme/span correlation IDs. Off by
 //!                     default and free when off.
 //!   --metrics         print the folded hot-path metric counters (cache hit
@@ -69,9 +63,7 @@ struct Args {
     deadline: Option<f64>,
     stats_file: Option<PathBuf>,
     policy: Option<String>,
-    store_shelves: Option<usize>,
     private_packages: bool,
-    warm_stores: bool,
     trace_file: Option<PathBuf>,
     metrics: bool,
     compact: bool,
@@ -89,9 +81,7 @@ fn parse_args() -> Result<Args, String> {
         deadline: None,
         stats_file: None,
         policy: None,
-        store_shelves: None,
         private_packages: false,
-        warm_stores: true,
         trace_file: None,
         metrics: false,
         compact: false,
@@ -147,18 +137,7 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.policy = Some(policy);
             }
-            "--store-shelves" => {
-                let shelves: usize = value("--store-shelves")?
-                    .parse()
-                    .map_err(|_| "invalid --store-shelves")?;
-                if shelves == 0 {
-                    return Err("--store-shelves must be at least 1".to_string());
-                }
-                args.store_shelves = Some(shelves);
-            }
             "--private-packages" => args.private_packages = true,
-            "--warm-stores" => args.warm_stores = true,
-            "--cold-stores" => args.warm_stores = false,
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
             "--metrics" => args.metrics = true,
             "--compact" => args.compact = true,
@@ -167,9 +146,8 @@ fn parse_args() -> Result<Args, String> {
                     "usage: verify (--manifest FILE | --dir DIR | --chain A,B,C...) \
                      [--out FILE] [--workers N] \
                      [--node-limit N] [--leaf-limit N] [--deadline SECS] \
-                     [--stats-file FILE] [--policy race|predicted] [--store-shelves N] \
+                     [--stats-file FILE] [--policy race|predicted] \
                      [--private-packages] \
-                     [--warm-stores | --cold-stores] \
                      [--trace-file FILE] [--metrics] [--compact]"
                 );
                 std::process::exit(0);
@@ -270,7 +248,6 @@ fn main() {
     options.portfolio.leaf_limit = args.leaf_limit;
     options.portfolio.deadline = args.deadline.map(std::time::Duration::from_secs_f64);
     options.portfolio.shared_package = !args.private_packages;
-    options.warm_stores = args.warm_stores;
     // A stats file implies the predicted policy (that is its point); an
     // explicit --policy always wins. Prediction with a cold store degrades
     // to racing inside the scheduler, so the combination is always safe.
@@ -281,9 +258,6 @@ fn main() {
         (Some(other), _) => unreachable!("validated by parse_args: {other}"),
     };
     options.stats = args.stats_file;
-    if let Some(shelves) = args.store_shelves {
-        options.store_shelves = shelves;
-    }
 
     if let Some(path) = &args.trace_file {
         if let Err(error) = obs::trace::install_file(path) {
@@ -324,12 +298,10 @@ fn main() {
                 chain.steps_verified, chain.steps_total
             ),
             (None, None) => format!(
-                "{} over {} steps in {:.4}s ({} chain carry-over hits, {} shelf hits)",
+                "{} over {} steps in {:.4}s",
                 chain.verdict,
                 chain.steps_verified,
                 chain.total_time.as_secs_f64(),
-                chain.chain_hits,
-                chain.shelf_hits,
             ),
         };
         eprintln!("{:<24} {status}", chain.name);

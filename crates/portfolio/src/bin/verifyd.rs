@@ -3,16 +3,15 @@
 //! Speaks the newline-delimited JSON-RPC protocol of [`portfolio::wire`]
 //! over stdio (the default; one client) or a Unix socket (`--socket PATH`;
 //! concurrent clients, one thread per connection). All clients share one
-//! [`portfolio::service::VerificationService`]: the warm store pool, the
-//! folded telemetry and the admission queue are daemon-global, so a second
-//! client's QFT-12 request hits the canonical structure the first client
-//! paid to build.
+//! [`portfolio::service::VerificationService`]: the folded telemetry and the
+//! admission queue are daemon-global, while every race runs on a fresh
+//! decision-diagram store of its own.
 //!
 //! ```text
 //! verifyd [--socket PATH] [--workers N] [--max-queue N]
 //!         [--deadline SECS] [--node-limit N] [--policy race|predicted]
-//!         [--stats-file FILE] [--store-shelves N] [--cold-stores]
-//!         [--private-packages] [--trace-file FILE] [--max-frame-bytes N]
+//!         [--stats-file FILE] [--private-packages] [--trace-file FILE]
+//!         [--max-frame-bytes N]
 //! ```
 //!
 //! Methods: `verify-pair`, `verify-chain`, `verify-batch`, `stats`,
@@ -20,11 +19,11 @@
 //! written in *completion* order — correlate by `id`. Every verify response
 //! carries the `obs::metrics` delta folded around its race. A client that
 //! disconnects with requests outstanding cancels them: each request's
-//! token unwinds its in-flight race and the store goes back to the pool.
+//! token unwinds its in-flight race, and the race's store is dropped.
 //!
 //! `verify-chain` takes a compilation pipeline — `steps` is an ordered
 //! array of `{pass?, path|text}` snapshots — and verifies it pass-by-pass
-//! on one warm store ([`portfolio::chain`]); the response carries per-step
+//! ([`portfolio::chain`]); the response carries per-step
 //! reports and, on refutation, the `guilty_pass`.
 //!
 //! `drain` stops admission, finishes the backlog (all connections), saves
@@ -53,8 +52,6 @@ struct Args {
     node_limit: Option<usize>,
     policy: Option<String>,
     stats_file: Option<PathBuf>,
-    store_shelves: Option<usize>,
-    warm_stores: bool,
     private_packages: bool,
     trace_file: Option<PathBuf>,
     max_frame: usize,
@@ -69,8 +66,6 @@ fn parse_args() -> Result<Args, String> {
         node_limit: None,
         policy: None,
         stats_file: None,
-        store_shelves: None,
-        warm_stores: true,
         private_packages: false,
         trace_file: None,
         max_frame: wire::MAX_FRAME_BYTES,
@@ -123,14 +118,6 @@ fn parse_args() -> Result<Args, String> {
                 args.policy = Some(policy);
             }
             "--stats-file" => args.stats_file = Some(PathBuf::from(value("--stats-file")?)),
-            "--store-shelves" => {
-                args.store_shelves = Some(
-                    value("--store-shelves")?
-                        .parse()
-                        .map_err(|_| "--store-shelves must be a positive integer".to_string())?,
-                );
-            }
-            "--cold-stores" => args.warm_stores = false,
             "--private-packages" => args.private_packages = true,
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
             "--max-frame-bytes" => {
@@ -145,9 +132,8 @@ fn parse_args() -> Result<Args, String> {
                 return Err(format!(
                     "unknown flag `{other}`; usage: verifyd [--socket PATH] [--workers N] \
                      [--max-queue N] [--deadline SECS] [--node-limit N] \
-                     [--policy race|predicted] [--stats-file FILE] [--store-shelves N] \
-                     [--cold-stores] [--private-packages] [--trace-file FILE] \
-                     [--max-frame-bytes N]"
+                     [--policy race|predicted] [--stats-file FILE] \
+                     [--private-packages] [--trace-file FILE] [--max-frame-bytes N]"
                 ));
             }
         }
@@ -689,10 +675,6 @@ fn main() {
     config.portfolio.deadline = args.deadline.map(Duration::from_secs_f64);
     config.portfolio.node_limit = args.node_limit;
     config.portfolio.shared_package = !args.private_packages;
-    config.warm_stores = args.warm_stores;
-    if let Some(shelves) = args.store_shelves {
-        config.store_shelves = shelves;
-    }
     // Like `verify`: a stats file implies the predicted policy unless an
     // explicit --policy overrides; prediction over an empty store degrades
     // to racing inside the scheduler.

@@ -4,27 +4,21 @@
 //! after-decomposition, after-basis-rewrite, after-routing, after-optimize —
 //! whose adjacent snapshots are nearly identical. Verifying the chain
 //! pass-by-pass instead of endpoint-to-endpoint keeps every miter close to
-//! the identity (the regime where DD memoization pays off most), lets
-//! canonical nodes and gate DDs carry over between steps on one warm
-//! [`SharedStore`], and turns a refutation into a *blame*: the first step
-//! whose adjacent pair differs names the guilty pass, instead of the
-//! endpoint check's "the ends differ, somewhere".
+//! the identity (the regime where DD memoization pays off most) and turns a
+//! refutation into a *blame*: the first step whose adjacent pair differs
+//! names the guilty pass, instead of the endpoint check's "the ends differ,
+//! somewhere".
 //!
 //! The chain protocol (see [`run_chain`]):
 //!
-//! 1. The service checks a store out of the pool **once** for the whole
-//!    chain and calls [`SharedStore::begin_chain`], so warm-hit telemetry
-//!    can split chain carry-over from batch shelf reuse.
-//! 2. Each adjacent pair runs as an ordinary portfolio race (its own
-//!    [`SharedStore::begin_race`] boundary), so structure built by step
-//!    *i* counts as warm for step *i + 1*. No between-step prune runs —
-//!    carry-over is the point.
-//! 3. On the first `NotEquivalent` step the chain stops and reports that
+//! 1. Each adjacent pair runs as an ordinary portfolio race, exactly as a
+//!    one-shot [`verify_portfolio`](crate::verify_portfolio) would run it:
+//!    a threaded race gets a fresh store of its own, and nothing carries
+//!    over from one step to the next.
+//! 2. On the first `NotEquivalent` step the chain stops and reports that
 //!    step's pass as [`ChainReport::guilty_pass`]; inconclusive steps are
 //!    recorded and the chain continues (it can still blame a later pass,
 //!    but can no longer certify the endpoints).
-//! 4. The store is pruned once (unless the next queued request reuses the
-//!    width) and shelved back.
 
 use crate::batch::PairReport;
 use crate::engine::verify_portfolio_recorded;
@@ -32,10 +26,9 @@ use crate::service::Source;
 use crate::telemetry::TelemetryStore;
 use crate::PortfolioConfig;
 use circuit::QuantumCircuit;
-use dd::SharedStore;
 use qcec::Equivalence;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One circuit of a manifest chain entry.
@@ -50,14 +43,13 @@ pub struct ChainStepSpec {
 }
 
 /// One compilation chain of a batch workload: the pipeline's circuits in
-/// order, verified pass-by-pass (adjacent pairs) on one warm store.
+/// order, verified pass-by-pass (adjacent pairs).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ChainSpec {
     /// Display name; defaults to the first circuit's file stem.
     pub name: Option<String>,
-    /// Register width hint (device qubits). Lets the service skip the
-    /// between-request store prune when the next queued request reuses the
-    /// width; purely an optimisation, never affects verdicts.
+    /// Register width (device qubits). Nothing reads it; it stays so that
+    /// manifests carrying the key keep their format.
     pub qubits: Option<usize>,
     /// The pipeline's circuits, in compilation order (at least two).
     pub steps: Vec<ChainStepSpec>,
@@ -79,8 +71,7 @@ pub struct ChainRequest {
     /// Per-step decision-diagram node budget, overriding
     /// [`PortfolioConfig::node_limit`].
     pub node_limit: Option<usize>,
-    /// Register width hint for the store-prune skip (see
-    /// [`ChainSpec::qubits`]).
+    /// Register width hint (see [`ChainSpec::qubits`]). Nothing reads it.
     pub width_hint: Option<usize>,
 }
 
@@ -119,9 +110,7 @@ pub struct ChainStepReport {
     /// The compilation pass under test: the one that produced this step's
     /// right circuit from its left.
     pub pass: String,
-    /// The step's full pair report (same shape as a batch pair). Its
-    /// `shared_store.chain_hits` counts carry-over from earlier steps of
-    /// this chain; `warm_hits − chain_hits` is pre-chain shelf reuse.
+    /// The step's full pair report (same shape as a batch pair).
     pub report: PairReport,
 }
 
@@ -146,15 +135,6 @@ pub struct ChainReport {
     pub steps_total: usize,
     /// Adjacent pairs actually verified (a refutation stops the chain).
     pub steps_verified: usize,
-    /// Warm canonical-store hits summed over all steps.
-    pub warm_hits: u64,
-    /// Subset of [`warm_hits`](Self::warm_hits) served by structure an
-    /// earlier step of *this chain* interned — the carry-over incremental
-    /// verification exists for. Zero for the first step by construction.
-    pub chain_hits: u64,
-    /// The remainder (`warm_hits − chain_hits`): reuse of structure the
-    /// store held before the chain began (batch shelf reuse).
-    pub shelf_hits: u64,
     /// Wall time of the whole chain (seconds in JSON).
     pub total_time: Duration,
     /// Per-step reports, in pipeline order (stops after a refuted step).
@@ -173,9 +153,6 @@ pub(crate) fn failed_chain(name: String, steps_total: usize, error: String) -> C
         guilty_pass: None,
         steps_total,
         steps_verified: 0,
-        warm_hits: 0,
-        chain_hits: 0,
-        shelf_hits: 0,
         total_time: Duration::ZERO,
         steps: Vec::new(),
         error: Some(error),
@@ -210,26 +187,14 @@ fn weakest(a: Equivalence, b: Equivalence) -> Equivalence {
     }
 }
 
-/// Verifies a parsed chain pass-by-pass on one (optional) warm store.
-///
-/// `warm` says whether the store came out of the pool warm; step *i > 0*
-/// reports a warm store regardless, because it inherits step *i − 1*'s
-/// structure. The caller owns the store checkout and the final prune; this
-/// function only brackets the steps with
-/// [`begin_chain`](SharedStore::begin_chain) /
-/// [`end_chain`](SharedStore::end_chain).
+/// Verifies a parsed chain pass-by-pass, one portfolio race per step.
 pub(crate) fn run_chain(
     parsed: &ParsedChain,
     portfolio: &PortfolioConfig,
-    store: Option<&Arc<SharedStore>>,
-    warm: bool,
     telemetry: Option<&Mutex<TelemetryStore>>,
 ) -> ChainReport {
     let start = Instant::now();
     let steps_total = parsed.circuits.len().saturating_sub(1);
-    if let Some(store) = store {
-        store.begin_chain();
-    }
     let mut steps = Vec::with_capacity(steps_total);
     let mut guilty_pass = None;
     let mut error = None;
@@ -247,7 +212,6 @@ pub(crate) fn run_chain(
             &parsed.circuits[index],
             &parsed.circuits[index + 1],
             portfolio,
-            store,
             telemetry,
         );
         obs::metrics::incr(obs::metrics::CHAIN_STEPS);
@@ -255,8 +219,6 @@ pub(crate) fn run_chain(
             format!("{}:{pass}", parsed.name),
             parsed.displays[index].clone(),
             parsed.displays[index + 1].clone(),
-            store.is_some() && (warm || index > 0),
-            0.0,
             result,
         );
         obs::trace::event(
@@ -264,14 +226,6 @@ pub(crate) fn run_chain(
             &[
                 ("pass", pass.clone().into()),
                 ("verdict", report.verdict.to_string().into()),
-                (
-                    "chain_hits",
-                    report
-                        .shared_store
-                        .as_ref()
-                        .map_or(0u64, |s| s.chain_hits)
-                        .into(),
-                ),
             ],
         );
         let refuted = report.verdict == Equivalence::NotEquivalent;
@@ -285,9 +239,6 @@ pub(crate) fn run_chain(
             guilty_pass = Some(pass);
             break;
         }
-    }
-    if let Some(store) = store {
-        store.end_chain();
     }
 
     let verdict = if guilty_pass.is_some() {
@@ -305,16 +256,6 @@ pub(crate) fn run_chain(
             .map(|s| s.report.verdict)
             .fold(Equivalence::Equivalent, weakest)
     };
-    let warm_hits: u64 = steps
-        .iter()
-        .filter_map(|s| s.report.shared_store.as_ref())
-        .map(|s| s.warm_hits)
-        .sum();
-    let chain_hits: u64 = steps
-        .iter()
-        .filter_map(|s| s.report.shared_store.as_ref())
-        .map(|s| s.chain_hits)
-        .sum();
     ChainReport {
         name: parsed.name.clone(),
         verdict,
@@ -322,9 +263,6 @@ pub(crate) fn run_chain(
         guilty_pass,
         steps_total,
         steps_verified: steps.len(),
-        warm_hits,
-        chain_hits,
-        shelf_hits: warm_hits.saturating_sub(chain_hits),
         total_time: start.elapsed(),
         steps,
         error,

@@ -185,18 +185,14 @@ impl serde::Serialize for EscalationReason {
 /// (see [`dd::SharedStoreStats`]; reported into the batch JSON as the
 /// per-pair `shared_store` block).
 ///
-/// Counter fields are *per-race deltas*: a warm store kept alive by the
-/// batch driver accumulates across pairs, so each race reports the
-/// difference between its start and end snapshots. Gauges (`shared_nodes`,
-/// `peak_nodes`, `complex_entries`) are end-of-race snapshots.
+/// Every race gets a fresh store that dies with it, so the report is that
+/// store's final stats: counters cover this race alone, and gauges
+/// (`shared_nodes`, `complex_entries`) are read once every scheme detached.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct SharedStoreReport {
     /// Live nodes when the race ended.
     pub shared_nodes: usize,
-    /// Nodes already live when the race started: the warm carry-over a
-    /// pooled store handed this pair (`0` for a fresh store).
-    pub carried_over_nodes: usize,
-    /// Peak live nodes over the store's lifetime so far.
+    /// Peak live nodes during this race.
     pub peak_nodes: usize,
     /// Nodes allocated across all schemes of this race (unique-table
     /// misses).
@@ -206,13 +202,11 @@ pub struct SharedStoreReport {
     pub intern_hits: u64,
     /// Subset of `intern_hits` served by a *different* scheme's entry.
     pub cross_thread_hits: u64,
-    /// Subset of `cross_thread_hits` served by structure predating this
-    /// race — warm cross-pair reuse.
+    /// Always `0`: no store outlives its race, so no structure predates
+    /// it. Kept so readers of the report format still find the key.
     pub warm_hits: u64,
-    /// Subset of `warm_hits` served by structure an *earlier step of the
-    /// same verification chain* interned (see [`crate::chain`]). The
-    /// remainder (`warm_hits − chain_hits`) predates the chain — batch
-    /// shelf reuse. Always `0` outside a chain.
+    /// Always `0`, like [`warm_hits`](Self::warm_hits): each chain step
+    /// races on a store of its own.
     pub chain_hits: u64,
     /// `cross_thread_hits / intern_hits`, the headline sharing metric.
     /// `0.0` (never NaN or null) when the race was over before its first
@@ -255,49 +249,28 @@ pub struct SharedStoreReport {
 }
 
 impl SharedStoreReport {
-    /// Builds the per-race report from snapshots taken at race start and
-    /// end (identical snapshots — a race that never touched the store —
-    /// yield all-zero deltas).
-    fn delta(start: &SharedStoreStats, end: &SharedStoreStats) -> Self {
-        let intern_hits = end.intern_hits.saturating_sub(start.intern_hits);
-        let cross_thread_hits = end
-            .cross_thread_hits
-            .saturating_sub(start.cross_thread_hits);
+    /// The report of a race's store, read after the race (an untouched
+    /// store reports all zeros).
+    fn from_stats(stats: &SharedStoreStats) -> Self {
         SharedStoreReport {
-            shared_nodes: end.live_nodes,
-            carried_over_nodes: start.live_nodes,
-            peak_nodes: end.peak_nodes,
-            allocated_nodes: end.allocated_nodes.saturating_sub(start.allocated_nodes),
-            intern_hits,
-            cross_thread_hits,
-            warm_hits: end.warm_hits.saturating_sub(start.warm_hits),
-            chain_hits: end.chain_hits.saturating_sub(start.chain_hits),
-            cross_thread_hit_rate: if intern_hits == 0 {
-                0.0
-            } else {
-                cross_thread_hits as f64 / intern_hits as f64
-            },
-            gc_runs: end.gc_runs.saturating_sub(start.gc_runs),
-            gc_barrier_runs: end.gc_barrier_runs.saturating_sub(start.gc_barrier_runs),
-            barrier_deferrals: end
-                .barrier_deferrals
-                .saturating_sub(start.barrier_deferrals),
-            barrier_wait_seconds: end.barrier_wait_ns.saturating_sub(start.barrier_wait_ns) as f64
-                / 1e9,
-            shard_lock_waits: end.shard_lock_waits.saturating_sub(start.shard_lock_waits),
-            shard_contention_seconds: end
-                .shard_contention_ns
-                .saturating_sub(start.shard_contention_ns)
-                as f64
-                / 1e9,
-            epoch_pins: end.epoch_pins.saturating_sub(start.epoch_pins),
-            retired_generations: end
-                .retired_generations
-                .saturating_sub(start.retired_generations),
-            deferred_reclaim_bytes: end
-                .deferred_reclaim_bytes
-                .saturating_sub(start.deferred_reclaim_bytes),
-            complex_entries: end.complex_entries,
+            shared_nodes: stats.live_nodes,
+            peak_nodes: stats.peak_nodes,
+            allocated_nodes: stats.allocated_nodes,
+            intern_hits: stats.intern_hits,
+            cross_thread_hits: stats.cross_thread_hits,
+            warm_hits: 0,
+            chain_hits: 0,
+            cross_thread_hit_rate: stats.cross_thread_hit_rate().unwrap_or(0.0),
+            gc_runs: stats.gc_runs,
+            gc_barrier_runs: stats.gc_barrier_runs,
+            barrier_deferrals: stats.barrier_deferrals,
+            barrier_wait_seconds: stats.barrier_wait_ns as f64 / 1e9,
+            shard_lock_waits: stats.shard_lock_waits,
+            shard_contention_seconds: stats.shard_contention_ns as f64 / 1e9,
+            epoch_pins: stats.epoch_pins,
+            retired_generations: stats.retired_generations,
+            deferred_reclaim_bytes: stats.deferred_reclaim_bytes,
+            complex_entries: stats.complex_entries,
         }
     }
 }
@@ -335,7 +308,7 @@ pub struct PortfolioResult {
     pub shared_reason: &'static str,
     /// Shared-store telemetry when the run used one
     /// ([`PortfolioConfig::shared_package`]); `None` for private-package
-    /// races and sequential runs without a warm store.
+    /// races and sequential runs.
     pub shared_store: Option<SharedStoreReport>,
 }
 
@@ -559,29 +532,10 @@ pub fn verify_portfolio(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
 ) -> PortfolioResult {
-    verify_portfolio_in(left, right, config, None)
+    verify_portfolio_recorded(left, right, config, None)
 }
 
-/// [`verify_portfolio`] against an optional *warm* shared store.
-///
-/// When `warm_store` is `Some`, the run attaches to it instead of creating
-/// a fresh [`SharedStore`]: canonical nodes and the gate-diagram L2 cache
-/// left behind by earlier races (the batch driver GCs between pairs, so
-/// only GC roots carry over) are reused, reported as
-/// [`SharedStoreReport::warm_hits`]. The store's warm-reuse epoch is marked
-/// here ([`SharedStore::begin_race`]); telemetry in the result is the
-/// per-race delta. A warm store is honoured even on the sequential
-/// tiny-instance plan.
-pub fn verify_portfolio_in(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    warm_store: Option<&Arc<SharedStore>>,
-) -> PortfolioResult {
-    verify_portfolio_recorded(left, right, config, warm_store, None)
-}
-
-/// [`verify_portfolio_in`] wired to a persistent [`TelemetryStore`]: the
+/// [`verify_portfolio`] wired to a persistent [`TelemetryStore`]: the
 /// scheduler plans against the store's recorded stats (enabling
 /// [`SchedulePolicy::Predicted`] to actually predict), and every scheme
 /// report of the run is folded back in afterwards. This is the entry point
@@ -590,7 +544,6 @@ pub fn verify_portfolio_recorded(
     left: &QuantumCircuit,
     right: &QuantumCircuit,
     config: &PortfolioConfig,
-    warm_store: Option<&Arc<SharedStore>>,
     telemetry: Option<&Mutex<TelemetryStore>>,
 ) -> PortfolioResult {
     let plan = {
@@ -599,7 +552,7 @@ pub fn verify_portfolio_recorded(
         let guard = telemetry.map(|store| store.lock().unwrap_or_else(PoisonError::into_inner));
         scheduler::plan(left, right, config, guard.as_deref())
     };
-    let result = execute_plan(left, right, config, &plan, warm_store);
+    let result = execute_plan(left, right, config, &plan);
     if let Some(telemetry) = telemetry {
         let mut guard = telemetry.lock().unwrap_or_else(PoisonError::into_inner);
         guard.record_race(&plan.features, &result.schemes, result.winner);
@@ -630,15 +583,9 @@ fn execute_plan(
     right: &QuantumCircuit,
     config: &PortfolioConfig,
     plan: &SchedulePlan,
-    warm_store: Option<&Arc<SharedStore>>,
 ) -> PortfolioResult {
     let cancel = CancelToken::new();
     obs::metrics::incr(obs::metrics::PF_RACES);
-    // A plan that decided against sharing must also decline the batch
-    // pool's warm store — attaching would rebuild exactly the coupling the
-    // prediction chose to avoid (the pool hands one out whenever the
-    // *config* allows sharing; the per-pair decision is the plan's).
-    let warm_store = warm_store.filter(|_| plan.shared);
     // The race span parents every scheme/GC span of this pair; workers
     // inherit it through the explicit context handoff in `spawn_scheme`.
     let race_span = obs::trace::span(
@@ -648,7 +595,6 @@ fn execute_plan(
             ("predicted", plan.predicted.into()),
             ("primary", (plan.primary.len() as u64).into()),
             ("reserve", (plan.reserve.len() as u64).into()),
-            ("warm_store", warm_store.is_some().into()),
         ],
     );
     obs::trace::event(
@@ -687,10 +633,6 @@ fn execute_plan(
         .collect();
 
     if plan.sequential {
-        let before = warm_store.map(|store| {
-            store.begin_race();
-            store.stats()
-        });
         let start = Instant::now();
         let budget = make_budget();
         let mut reports = Vec::new();
@@ -708,8 +650,7 @@ fn execute_plan(
                 obs::trace::with_context(obs::trace::current_context().with_scheme(scheme.name()));
             obs::trace::event("scheme.launch", &[("wave", "sequential".into())]);
             obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
-            let report =
-                run_scheme_caught(*scheme, left, right, scheme_config, &budget, warm_store);
+            let report = run_scheme_caught(*scheme, left, right, scheme_config, &budget, None);
             let conclusive = report.conclusive;
             if conclusive {
                 verdict = report.verdict;
@@ -739,26 +680,16 @@ fn execute_plan(
         result.predicted = plan.predicted;
         result.shared = plan.shared;
         result.shared_reason = plan.shared_reason;
-        if let (Some(store), Some(before)) = (warm_store, before) {
-            result.shared_store = Some(SharedStoreReport::delta(&before, &store.stats()));
-        }
         finish_race(race_span, &result);
         return result;
     }
 
-    // Threaded execution: one concurrent store for the whole run — warm
-    // from the pool, or fresh — so every scheme interning the same gate
-    // diagram or subdiagram gets the other schemes' work as cache hits
-    // instead of rebuilding it. Whether a store exists at all is the
-    // *plan's* per-pair decision, not the config's global one.
-    let store = match warm_store {
-        Some(store) => Some(Arc::clone(store)),
-        None => plan.shared.then(SharedStore::new),
-    };
-    let before = store.as_ref().map(|store| {
-        store.begin_race();
-        store.stats()
-    });
+    // Threaded execution: one fresh concurrent store for the whole run, so
+    // every scheme interning the same gate diagram or subdiagram gets the
+    // other schemes' work as cache hits instead of rebuilding it. Whether a
+    // store exists at all is the *plan's* per-pair decision, not the
+    // config's global one.
+    let store = plan.shared.then(SharedStore::new);
 
     let start = Instant::now();
     let mut reports: Vec<SchemeReport> = Vec::with_capacity(launches.len());
@@ -1019,10 +950,7 @@ fn execute_plan(
     result.escalation = escalation;
     // Every scheme's workspaces are gone by now (the scope joined all
     // workers), so the store's flushed counters are complete.
-    result.shared_store = match (store, before) {
-        (Some(store), Some(before)) => Some(SharedStoreReport::delta(&before, &store.stats())),
-        _ => None,
-    };
+    result.shared_store = store.map(|store| SharedStoreReport::from_stats(&store.stats()));
     finish_race(race_span, &result);
     result
 }
@@ -1081,13 +1009,12 @@ mod tests {
     }
 
     #[test]
-    fn shared_store_report_delta_is_finite_on_an_untouched_store() {
-        // A race cancelled before any scheme interned anything produces
-        // identical start/end snapshots: every counter is zero and the hit
-        // rate must be 0.0, not NaN (the vendored JSON writer rejects
-        // non-finite numbers outright).
-        let stats = SharedStoreStats::default();
-        let report = SharedStoreReport::delta(&stats, &stats);
+    fn shared_store_report_is_finite_on_an_untouched_store() {
+        // A race cancelled before any scheme interned anything leaves its
+        // store untouched: every counter is zero and the hit rate must be
+        // 0.0, not NaN (the vendored JSON writer rejects non-finite numbers
+        // outright).
+        let report = SharedStoreReport::from_stats(&SharedStoreStats::default());
         assert_eq!(report.intern_hits, 0);
         assert_eq!(report.cross_thread_hit_rate, 0.0);
         assert!(report.cross_thread_hit_rate.is_finite());

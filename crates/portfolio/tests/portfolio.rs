@@ -509,72 +509,72 @@ fn batch_reports_unreadable_pairs_instead_of_dying() {
 }
 
 #[test]
-fn warm_stores_reuse_structure_across_same_width_pairs() {
-    // Three same-width QFT pairs: with warm stores, every pair after the
-    // first must reuse canonical structure carried over from its
-    // predecessor (warm_hits > 0) while producing verdicts identical to a
-    // cold-store run.
-    let dir = temp_dir("warm");
+fn same_width_pairs_verify_independently_of_batch_history() {
+    // Three 10-qubit pairs (threaded races on a shared store) through one
+    // worker, so each races right after the one before it. Every race gets
+    // a store of its own: each pair must get the verdict a one-shot
+    // `verify_portfolio` gives it, and its store must hold nothing an
+    // earlier pair built.
+    let dir = temp_dir("history");
+    let hidden: Vec<bool> = (0..9).map(|i| i % 3 != 1).collect();
+    let mut flipped = hidden.clone();
+    flipped[4] = !flipped[4];
+    let pairs = [
+        (
+            "qft_a",
+            qft::qft_static(10, None, true),
+            qft::qft_dynamic(10),
+        ),
+        (
+            "qft_b",
+            qft::qft_static(10, None, true),
+            qft::qft_dynamic(10),
+        ),
+        (
+            "bv_bad",
+            bv::bv_static(&hidden, true),
+            bv::bv_dynamic(&flipped),
+        ),
+    ];
     let mut manifest = Manifest {
         pairs: Vec::new(),
         chains: None,
     };
-    for i in 0..3 {
-        let left = qft::qft_static(6, None, true);
-        let right = qft::qft_dynamic(6);
-        let left_path = dir.join(format!("qft_{i}.left.qasm"));
-        let right_path = dir.join(format!("qft_{i}.right.qasm"));
-        std::fs::write(&left_path, circuit::qasm::to_qasm(&left)).unwrap();
-        std::fs::write(&right_path, circuit::qasm::to_qasm(&right)).unwrap();
+    for (name, left, right) in &pairs {
+        let left_path = dir.join(format!("{name}.left.qasm"));
+        let right_path = dir.join(format!("{name}.right.qasm"));
+        std::fs::write(&left_path, circuit::qasm::to_qasm(left)).unwrap();
+        std::fs::write(&right_path, circuit::qasm::to_qasm(right)).unwrap();
         manifest.pairs.push(PairSpec {
-            name: Some(format!("qft_{i}")),
+            name: Some(name.to_string()),
             left: left_path.to_string_lossy().into_owned(),
             right: right_path.to_string_lossy().into_owned(),
-            qubits: None,
+            qubits: Some(10),
         });
     }
 
-    // One worker => pairs run in order on the same pooled store.
-    let warm_options = BatchOptions {
+    let options = BatchOptions {
         workers: 1,
         ..BatchOptions::default()
     };
-    let cold_options = BatchOptions {
-        workers: 1,
-        warm_stores: false,
-        ..BatchOptions::default()
-    };
-    let warm = run_batch(&manifest, &warm_options);
-    let cold = run_batch(&manifest, &cold_options);
-
-    assert_eq!(warm.pairs_total, 3);
-    for (w, c) in warm.pairs.iter().zip(cold.pairs.iter()) {
-        assert_eq!(w.verdict, c.verdict, "warm stores changed a verdict");
-        assert!(w.considered_equivalent);
-    }
-    assert!(!warm.pairs[0].warm_store, "first pair starts cold");
-    for pair in &warm.pairs[1..] {
-        assert!(pair.warm_store, "later same-width pairs must be warm");
+    let report = run_batch(&manifest, &options);
+    assert_eq!(report.pairs_total, 3);
+    assert_eq!(report.pairs_equivalent, 2);
+    for ((name, left, right), pair) in pairs.iter().zip(&report.pairs) {
+        let one_shot = verify_portfolio(left, right, &PortfolioConfig::default());
+        assert_eq!(
+            pair.verdict, one_shot.verdict,
+            "{name}: the batch verdict differs from the one-shot verdict"
+        );
         let store = pair
             .shared_store
             .as_ref()
-            .expect("warm pairs report store telemetry");
-        assert!(
-            store.warm_hits > 0,
-            "warm pair should reuse carried-over structure: {store:?}"
-        );
-        assert!(
-            store.carried_over_nodes > 0,
-            "the between-pair GC keeps the gate cache alive: {store:?}"
+            .expect("10-qubit pairs race on a shared store");
+        assert_eq!(
+            store.warm_hits, 0,
+            "{name} reused structure from an earlier pair: {store:?}"
         );
     }
-    assert!(warm.warm_hits_total > 0);
-    assert_eq!(cold.warm_hits_total, 0);
-
-    // The warm telemetry survives the JSON rendering as finite numbers.
-    let json = serde_json::to_string(&warm).unwrap();
-    assert!(json.contains("\"warm_hits\""));
-    assert!(json.contains("\"gc_barrier_runs\""));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

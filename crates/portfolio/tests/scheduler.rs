@@ -263,7 +263,7 @@ fn predicted_primary_wave_always_contains_a_proving_scheme() {
     );
 
     let telemetry = Mutex::new(store);
-    let result = verify_portfolio_recorded(&left, &right, &config, None, Some(&telemetry));
+    let result = verify_portfolio_recorded(&left, &right, &config, Some(&telemetry));
     assert!(result.predicted);
     assert!(
         !result.escalated(),
@@ -295,7 +295,7 @@ fn escalation_reaches_a_conclusive_verdict_when_the_prediction_errors() {
         ..Default::default()
     };
     let telemetry = Mutex::new(store);
-    let result = verify_portfolio_recorded(&left, &right, &config, None, Some(&telemetry));
+    let result = verify_portfolio_recorded(&left, &right, &config, Some(&telemetry));
     assert!(result.predicted);
     assert!(
         result.escalated(),
@@ -344,7 +344,7 @@ fn stalled_primary_wave_escalates_on_the_deadline() {
         ..Default::default()
     };
     let telemetry = Mutex::new(store);
-    let result = verify_portfolio_recorded(&left, &right, &config, None, Some(&telemetry));
+    let result = verify_portfolio_recorded(&left, &right, &config, Some(&telemetry));
     assert!(result.predicted);
     assert!(
         result.verdict.considered_equivalent(),
@@ -366,30 +366,18 @@ fn predicted_matches_race_verdicts_and_launches_fewer_schemes() {
 
     let telemetry = Mutex::new(TelemetryStore::new());
     let race_config = PortfolioConfig::default();
-    let race_qpe =
-        verify_portfolio_recorded(&static_qpe, &iqpe, &race_config, None, Some(&telemetry));
-    let race_qft =
-        verify_portfolio_recorded(&qft_left, &qft_right, &race_config, None, Some(&telemetry));
+    let race_qpe = verify_portfolio_recorded(&static_qpe, &iqpe, &race_config, Some(&telemetry));
+    let race_qft = verify_portfolio_recorded(&qft_left, &qft_right, &race_config, Some(&telemetry));
     assert!(!race_qpe.predicted && !race_qft.predicted);
 
     let predicted_config = PortfolioConfig {
         policy: SchedulePolicy::predicted(),
         ..Default::default()
     };
-    let predicted_qpe = verify_portfolio_recorded(
-        &static_qpe,
-        &iqpe,
-        &predicted_config,
-        None,
-        Some(&telemetry),
-    );
-    let predicted_qft = verify_portfolio_recorded(
-        &qft_left,
-        &qft_right,
-        &predicted_config,
-        None,
-        Some(&telemetry),
-    );
+    let predicted_qpe =
+        verify_portfolio_recorded(&static_qpe, &iqpe, &predicted_config, Some(&telemetry));
+    let predicted_qft =
+        verify_portfolio_recorded(&qft_left, &qft_right, &predicted_config, Some(&telemetry));
 
     assert_eq!(
         predicted_qpe.verdict.considered_equivalent(),
@@ -477,8 +465,7 @@ fn predicted_sharing_follows_recorded_payoff_with_identical_verdicts() {
     assert_eq!(race_result.shared_reason, "race-default");
     for store in [low, high] {
         let telemetry = Mutex::new(store);
-        let result =
-            verify_portfolio_recorded(&left, &right, &predicted_config, None, Some(&telemetry));
+        let result = verify_portfolio_recorded(&left, &right, &predicted_config, Some(&telemetry));
         assert_eq!(result.verdict, race_result.verdict);
         assert_eq!(result.shared, result.shared_store.is_some());
     }
@@ -533,7 +520,7 @@ fn telemetry_round_trips_through_save_load_merge() {
     let right = qft::qft_dynamic(10);
     let telemetry = Mutex::new(TelemetryStore::new());
     let config = PortfolioConfig::default();
-    verify_portfolio_recorded(&left, &right, &config, None, Some(&telemetry));
+    verify_portfolio_recorded(&left, &right, &config, Some(&telemetry));
     let store = telemetry.into_inner().unwrap();
     assert!(!store.is_empty());
     assert_eq!(store.races, 1);

@@ -1,5 +1,5 @@
 //! Integration tests of the verification service core: admission control,
-//! cancellation-on-disconnect, and pool hygiene after a client dies.
+//! cancellation-on-disconnect and telemetry folding.
 
 use algorithms::{qft, qpe};
 use circuit::QuantumCircuit;
@@ -48,7 +48,7 @@ fn config(workers: usize, max_queue: usize) -> ServiceConfig {
 }
 
 #[test]
-fn dropped_handle_cancels_the_inflight_race_and_the_pool_stays_clean() {
+fn dropped_handle_cancels_the_inflight_race() {
     let service = VerificationService::start(config(1, 4));
     let handle = service.submit(heavy("disconnect")).unwrap();
     let token = handle.cancel_token().clone();
@@ -71,12 +71,6 @@ fn dropped_handle_cancels_the_inflight_race_and_the_pool_stays_clean() {
     let stats = service.stats();
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.inflight, 0);
-    assert_eq!(
-        stats.attached_workspaces, 0,
-        "a cancelled request leaked a workspace attached to a shelved store"
-    );
-    // The store the dead client was using went back on its shelf.
-    assert!(stats.shelved_widths >= 1);
     service.drain();
 }
 
@@ -111,7 +105,6 @@ fn requests_cancelled_while_queued_never_dispatch() {
     assert!(service.wait_idle(Duration::from_secs(60)));
     let stats = service.stats();
     assert_eq!(stats.completed, 2);
-    assert_eq!(stats.attached_workspaces, 0);
     service.drain();
 }
 
@@ -137,18 +130,14 @@ fn admission_control_rejects_when_saturated_and_after_drain() {
 }
 
 #[test]
-fn completed_requests_fold_telemetry_and_count_warm_reuse() {
+fn completed_requests_fold_telemetry() {
     let service = VerificationService::start(config(1, 8));
     let first = service.submit(light("a")).unwrap().wait();
     assert!(first.report.considered_equivalent);
     assert!(!first.cancelled);
     let second = service.submit(light("b")).unwrap().wait();
-    assert!(
-        second.report.warm_store,
-        "same width must hit the warm shelf"
-    );
+    assert!(second.report.considered_equivalent);
     let stats = service.stats();
-    assert!(stats.warm_checkouts >= 1);
     assert!(
         stats.telemetry_races >= 2,
         "each completed pair folds its races into the telemetry store"
