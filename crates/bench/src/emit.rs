@@ -51,7 +51,7 @@ pub fn machine_block() -> String {
 /// statement of what its numbers mislead about is a bug, mirroring the
 /// metric-catalogue rule in `obs`. `sections` are `(key, raw-JSON-value)`
 /// pairs appended verbatim after the envelope — the caller owns their
-/// formatting (typically an `"instances"` or `"kernels"` array).
+/// formatting (typically an `"instances"` array).
 pub fn envelope(
     bench: &str,
     description: &str,

@@ -106,9 +106,7 @@ pub struct Configuration {
     /// (distribution) equivalence.
     pub distribution_tolerance: f64,
     /// Decision-diagram memory sizing for the check's packages (compute-
-    /// table bounds and the automatic garbage-collection threshold). The
-    /// portfolio scheduler overrides the GC threshold per scheme from
-    /// recorded peak-node telemetry.
+    /// table bounds and the automatic garbage-collection threshold).
     pub memory: dd::MemoryConfig,
 }
 

@@ -542,9 +542,11 @@ pub fn check_functional_equivalence_in(
             // the current wire correspondence: after the right side applies
             // an inserted SWAP, left wires living on the swapped right wires
             // trade places. Whenever every applied gate had its twin the
-            // partial miter equals the inverse of that wire permutation — a
-            // linear-size diagram — so reordered and insertion-only pairs
-            // (routing, layout restoration) never leave the cheap regime.
+            // partial miter equals the inverse of that wire permutation,
+            // whose diagram grows with the number of wires it carries across
+            // each level: small for local reorderings and restored layouts,
+            // but a line-routed pair's permutation can reach thousands of
+            // nodes between its SWAPs.
             let total_left = left_ops.len().max(1);
             let total_right = right_ops.len().max(1);
             let mut pending = PendingGates::new(&right_ops, n);

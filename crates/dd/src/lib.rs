@@ -53,24 +53,6 @@
 //! weight-table growth on long runs (`MemoryStats::complex_entries` /
 //! `complex_reclaimed` report the effect).
 //!
-//! ## Kernel layer
-//!
-//! One numeric path runs on a data-parallel kernel: `sim`'s dense fidelity
-//! of small states expands both diagrams into *structure-of-arrays*
-//! amplitude lanes (separate `re`/`im` `f64` slices,
-//! [`DdPackage::amplitude_lanes`]) and reduces them with the conjugated dot
-//! kernel [`kernels::dot_conj_lanes`], where SIMD shows its full headroom
-//! (the strict-FP scalar reduction cannot autovectorize). The [`kernels`]
-//! module dispatches it once per process: `AVX2` intrinsics when the CPU
-//! has them, otherwise an autovectorizable scalar loop that is always
-//! compiled (and can be forced with the `scalar-kernels` cargo feature,
-//! which CI builds and benches on every push). The two backends are
-//! **bit-identical by construction** — no FMA contraction, the same
-//! per-lane expression trees, and a fixed 4-accumulator reduction in both
-//! — so a verdict can never depend on which machine produced it; the
-//! kernel bench asserts this bitwise on every CI run. Every diagram
-//! operation stays node-at-a-time and memoized.
-//!
 //! ## Concurrency model
 //!
 //! A [`DdPackage`] by itself is single-threaded (`Send`, not `Sync`). For
@@ -161,7 +143,6 @@
 //! | `dd.store.epoch_pins` | count | one pin per attach plus one per collection crossed; a high count means frequent GC, not expensive reads — pinning is an `Arc` clone |
 //! | `dd.store.retired_generations` | count | equals completed shared collections; retirement is not reclamation — a pinned generation lives on until its last reader moves |
 //! | `dd.store.deferred_reclaim_bytes` | count | a running total of bytes that *entered* deferral, never decremented when freed; it bounds transient overhead, not live memory |
-//! | `dd.kernels.backend_avx2` / `_scalar` | count | one increment per process at first dispatch — a config gauge, not a usage meter |
 //! | `dd.gates.twiddle_hits` | count | only cold gate-DD builds reach this path — the gate cache absorbs repeats first |
 //!
 //! Trace events: `gc.private`, `gc.sole`, `gc.barrier` (a span whose end
@@ -194,7 +175,6 @@ mod cache;
 mod complex;
 pub mod gates;
 mod hash;
-pub mod kernels;
 mod limits;
 mod node;
 mod package;

@@ -464,9 +464,8 @@ impl DdPackage {
     }
 
     /// [`with_store`](Self::with_store) with explicit [`MemoryConfig`]
-    /// sizing: the portfolio scheduler uses this to hand each verification
-    /// scheme a garbage-collection threshold tuned from recorded peak-node
-    /// telemetry instead of the static default.
+    /// sizing: the verification schemes use this to size their packages
+    /// from the check's configuration instead of the static default.
     pub fn with_store_config(
         store: Option<&Arc<SharedStore>>,
         n_qubits: usize,
@@ -1725,31 +1724,6 @@ impl DdPackage {
         let half = 1usize << (level - 1);
         self.amplitudes_rec(node.children[0], level - 1, acc, offset, out);
         self.amplitudes_rec(node.children[1], level - 1, acc, offset + half, out);
-    }
-
-    /// Expands a vector decision diagram into dense structure-of-arrays
-    /// amplitude lanes (the layout the [`kernels`](crate::kernels) operate
-    /// on). `re`/`im` are cleared and zero-filled to `2^n_qubits` first, so
-    /// callers can reuse their buffers across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the package has more than 24 qubits (same bound as
-    /// [`amplitudes`](Self::amplitudes)).
-    pub fn amplitude_lanes(&self, v: VEdge, re: &mut Vec<f64>, im: &mut Vec<f64>) {
-        assert!(
-            self.n_qubits <= 24,
-            "dense expansion is limited to 24 qubits"
-        );
-        let len = 1usize << self.n_qubits;
-        re.clear();
-        re.resize(len, 0.0);
-        im.clear();
-        im.resize(len, 0.0);
-        self.amplitudes_rec(v, self.n_qubits, Complex::ONE, 0, &mut |i, a| {
-            re[i] = a.re;
-            im[i] = a.im;
-        });
     }
 
     /// Amplitude of a single computational basis state.

@@ -95,20 +95,12 @@ catalog! {
     DD_SHARD_CONTENTION_NS = ("dd.store.shard_contention_ns", Unit::Nanos, "measured only on the blocking path; uncontended acquisitions contribute zero even though they also cost cycles");
     /// Portfolio races executed (one per verified pair).
     PF_RACES = ("portfolio.races", Unit::Count, "counts sequential tiny-instance plans as races too");
-    /// Scheme launches across all races (primary + escalation waves).
+    /// Scheme launches across all races.
     PF_SCHEME_LAUNCHES = ("portfolio.scheme_launches", Unit::Count, "launched is not finished: cancelled schemes count the same as winners");
     /// Schemes cancelled after another scheme's conclusive verdict.
     PF_CANCELLATIONS = ("portfolio.cancellations", Unit::Count, "cancellation is cooperative; a scheme may run to completion before noticing");
-    /// Predicted-plan escalations because the primary wave stalled past its deadline.
-    PF_ESCALATIONS_STALL = ("portfolio.escalations.stall", Unit::Count, "stall is a wall-clock verdict; a loaded machine escalates pairs a quiet one would not");
-    /// Predicted-plan escalations because every primary scheme finished inconclusively.
-    PF_ESCALATIONS_DRAIN = ("portfolio.escalations.drain", Unit::Count, "drain escalations indict the prediction, stall escalations may only indict the deadline");
     /// Batch pairs verified.
     BATCH_PAIRS = ("batch.pairs", Unit::Count, "includes pairs that errored during parse; see the report's failed count");
-    /// Process resolved the AVX2 kernel backend (at most 1 per process).
-    DD_KERNEL_BACKEND_AVX2 = ("dd.kernels.backend_avx2", Unit::Count, "records the dispatch decision, not usage: a process can select AVX2 and never run a single kernel");
-    /// Process resolved the scalar kernel backend (at most 1 per process).
-    DD_KERNEL_BACKEND_SCALAR = ("dd.kernels.backend_scalar", Unit::Count, "scalar means the autovectorizable fallback, which the compiler may still emit SIMD for");
     /// Gate-matrix phase factors served from the precomputed twiddle table.
     DD_TWIDDLE_HITS = ("dd.gates.twiddle_hits", Unit::Count, "only cold gate-DD builds reach this path; a warm gate cache makes the count tiny regardless of the table's value");
     /// Generation-snapshot pins taken by shared workspaces (attach + re-pins), folded at package drop.

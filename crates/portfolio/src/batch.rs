@@ -31,15 +31,11 @@
 //! the worker pool.
 
 use crate::chain::{ChainReport, ChainRequest, ChainSpec};
-use crate::engine::{
-    EscalationReason, PortfolioConfig, PortfolioResult, SchemeReport, SharedStoreReport,
-};
+use crate::engine::{PortfolioConfig, PortfolioResult, SchemeReport, SharedStoreReport};
 use crate::scheme::Scheme;
 use crate::service::{Request, ServiceConfig, VerificationService};
-use crate::telemetry::TelemetryStore;
 use qcec::Equivalence;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One circuit pair of a batch workload.
@@ -219,13 +215,6 @@ pub struct BatchOptions {
     pub workers: usize,
     /// Portfolio configuration applied to every pair.
     pub portfolio: PortfolioConfig,
-    /// Optional persistent telemetry file (`verify --stats-file`): loaded
-    /// before the batch (a missing file starts empty), fed to the
-    /// scheduler of every pair, folded with the batch's new reports and
-    /// saved back afterwards. An unreadable or malformed file is reported
-    /// on stderr and the batch runs cold — and the damaged file is left
-    /// untouched (no save), so recorded history is never clobbered.
-    pub stats: Option<PathBuf>,
 }
 
 impl Default for BatchOptions {
@@ -238,7 +227,6 @@ impl Default for BatchOptions {
             // threads near the hardware width.
             workers: (parallelism / 4).max(1),
             portfolio: PortfolioConfig::default(),
-            stats: None,
         }
     }
 }
@@ -253,12 +241,9 @@ impl Default for BatchOptions {
 #[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct PairMetrics {
     /// Whether this pair's schemes raced on a shared decision-diagram
-    /// store — the scheduler's per-pair decision, not the config default.
+    /// store: `false` with `--private-packages` and for tiny pairs, which
+    /// run their schemes one at a time on private packages.
     pub shared: bool,
-    /// Stable reason tag for the sharing decision (`"race-default"`,
-    /// `"config-private"`, `"explicit-schemes"`, `"cold-telemetry"`,
-    /// `"predicted-shared"`, `"predicted-private"`).
-    pub shared_reason: String,
     /// Best compute-table hit rate any scheme of this pair reported.
     pub cache_hit_rate: Option<f64>,
     /// Shared-store canonical hits served by a competitor's structure,
@@ -280,7 +265,6 @@ impl PairMetrics {
         let store = result.shared_store.as_ref();
         PairMetrics {
             shared: result.shared,
-            shared_reason: result.shared_reason.to_string(),
             cache_hit_rate: result
                 .schemes
                 .iter()
@@ -322,12 +306,6 @@ pub struct PairReport {
     pub gc_runs: usize,
     /// Best compute-table hit rate any scheme of this pair reported.
     pub cache_hit_rate: Option<f64>,
-    /// Whether recorded telemetry steered this pair's launch plan (see
-    /// [`PortfolioResult::predicted`](crate::PortfolioResult::predicted)).
-    pub predicted: bool,
-    /// Why a predicted plan had to launch its escalation wave
-    /// (`"stall"` / `"inconclusive-drain"`), if it did.
-    pub escalation: Option<EscalationReason>,
     /// Hot-path metrics digest (cache/sharing hit rates, barrier wait and
     /// lock contention time) — see [`PairMetrics`].
     pub metrics: PairMetrics,
@@ -370,8 +348,6 @@ impl PairReport {
                 .fold(None, |best: Option<f64>, rate| {
                     Some(best.map_or(rate, |b| b.max(rate)))
                 }),
-            predicted: result.predicted,
-            escalation: result.escalation,
             metrics,
             shared_store: result.shared_store,
             schemes: result.schemes,
@@ -391,11 +367,9 @@ pub struct BatchReport {
     pub pairs_equivalent: usize,
     /// Pairs that failed to load or produced no information.
     pub pairs_failed: usize,
-    /// Pairs whose launch plan was steered by recorded telemetry.
-    pub pairs_predicted: usize,
-    /// Scheme launches summed over the whole batch — the headline savings
-    /// metric of the adaptive scheduler (a race launches every applicable
-    /// scheme; a successful prediction launches `k`).
+    /// Scheme launches summed over the whole batch (a race launches every
+    /// applicable scheme; a sequential plan stops at the first conclusive
+    /// one).
     pub schemes_launched_total: usize,
     /// Decision-diagram garbage-collection runs summed over the whole batch.
     pub gc_runs_total: usize,
@@ -437,8 +411,6 @@ pub(crate) fn failed_pair(spec: &PairSpec, name: String, error: String) -> PairR
         peak_nodes: None,
         gc_runs: 0,
         cache_hit_rate: None,
-        predicted: false,
-        escalation: None,
         metrics: PairMetrics::default(),
         shared_store: None,
         schemes: Vec::new(),
@@ -448,84 +420,20 @@ pub(crate) fn failed_pair(spec: &PairSpec, name: String, error: String) -> PairR
 
 /// Fans the manifest's pairs over a pool of `options.workers` threads, each
 /// running full portfolio races, and collects a [`BatchReport`].
-///
-/// With [`BatchOptions::stats`] set, the persistent telemetry store is
-/// loaded first (a missing file starts empty; an unreadable or malformed
-/// one is reported on stderr and treated as empty), fed to every pair's
-/// scheduler, and saved back — with the batch's new telemetry folded in —
-/// when the batch finishes.
 pub fn run_batch(manifest: &Manifest, options: &BatchOptions) -> BatchReport {
-    match &options.stats {
-        None => run_batch_recorded(manifest, options, None),
-        Some(path) => {
-            // A load failure (unreadable or malformed — a *missing* file is
-            // simply a cold start) runs the batch cold but must NOT save
-            // afterwards: overwriting the existing file with only this
-            // batch's stats would silently destroy the accumulated history.
-            let (store, load_failed) = match TelemetryStore::load(path) {
-                Ok(store) => (store, false),
-                Err(error) => {
-                    eprintln!(
-                        "warning: cannot load stats file {}: {error}; running cold",
-                        path.display()
-                    );
-                    (TelemetryStore::new(), true)
-                }
-            };
-            let telemetry = Mutex::new(store);
-            let report = run_batch_recorded(manifest, options, Some(&telemetry));
-            let store = telemetry
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            if load_failed {
-                eprintln!(
-                    "warning: not saving stats to {} — the existing file failed to load and \
-                     saving would overwrite it; repair or remove it first",
-                    path.display()
-                );
-            } else if let Err(error) = store.save(path) {
-                eprintln!(
-                    "warning: cannot save stats file {}: {error}",
-                    path.display()
-                );
-            }
-            report
-        }
-    }
-}
-
-/// [`run_batch`] against a caller-owned telemetry store: every pair's
-/// scheduler plans against it and folds its reports back in. This is the
-/// building block behind [`BatchOptions::stats`]; use it directly to keep
-/// telemetry in memory across several batches (e.g. a long-running
-/// service).
-pub fn run_batch_recorded(
-    manifest: &Manifest,
-    options: &BatchOptions,
-    telemetry: Option<&Mutex<TelemetryStore>>,
-) -> BatchReport {
     let start = Instant::now();
     // The batch driver is a one-shot front-end over the service core: spin
     // up a service sized for the manifest, submit every pair, wait for the
-    // outcomes in manifest order, drain. The caller's telemetry store is
-    // moved into the service for the run (the engine folds every race into
-    // it there) and moved back out of `drain()` afterwards.
-    let seed = telemetry.map_or_else(TelemetryStore::new, |store| {
-        std::mem::take(&mut *store.lock().unwrap_or_else(PoisonError::into_inner))
-    });
+    // outcomes in manifest order, drain.
     let chain_specs = manifest.chain_specs();
     let workload = manifest.pairs.len() + chain_specs.len();
-    let service = VerificationService::start_seeded(
-        ServiceConfig {
-            portfolio: options.portfolio.clone(),
-            workers: options.workers.clamp(1, workload.max(1)),
-            // A batch never queues more than its own manifest; size the
-            // queue so admission control cannot reject.
-            max_queue: workload,
-            stats: None,
-        },
-        seed,
-    );
+    let service = VerificationService::start(ServiceConfig {
+        portfolio: options.portfolio.clone(),
+        workers: options.workers.clamp(1, workload.max(1)),
+        // A batch never queues more than its own manifest; size the queue
+        // so admission control cannot reject.
+        max_queue: workload,
+    });
     let handles: Vec<_> = manifest
         .pairs
         .iter()
@@ -551,10 +459,7 @@ pub fn run_batch_recorded(
         .into_iter()
         .map(|handle| handle.wait().report)
         .collect();
-    let folded = service.drain();
-    if let Some(store) = telemetry {
-        *store.lock().unwrap_or_else(PoisonError::into_inner) = folded;
-    }
+    service.drain();
     let total_time = start.elapsed();
     let chain_steps_verified: usize = chains.iter().map(|c| c.steps_verified).sum();
     let verifications = pairs.len() + chain_steps_verified;
@@ -566,7 +471,6 @@ pub fn run_batch_recorded(
             .iter()
             .filter(|p| p.error.is_some() || p.verdict == Equivalence::NoInformation)
             .count(),
-        pairs_predicted: pairs.iter().filter(|p| p.predicted).count(),
         schemes_launched_total: pairs
             .iter()
             .map(|p| p.schemes.len())

@@ -17,27 +17,16 @@
 //!   --node-limit N    per-scheme decision-diagram node budget
 //!   --leaf-limit N    extraction leaf budget for the fixed-input scheme
 //!   --deadline SECS   wall-clock deadline per pair (fractional seconds ok)
-//!   --stats-file FILE persistent scheme telemetry: loaded before the batch,
-//!                     folded with this batch's telemetry, saved back after.
-//!                     Switches the scheduler to the predicted policy (top-2
-//!                     launch, escalate on stall) unless --policy race is
-//!                     given; with an empty/missing file the scheduler
-//!                     degrades to racing everything.
-//!   --policy P        race | predicted — force the launch policy
-//!                     (predicted without --stats-file plans from an empty
-//!                     store, i.e. races)
 //!   --private-packages race schemes on private DD packages, never a shared
 //!                     store (for sharing/contention comparisons). Without
-//!                     it the *scheduler* decides per pair: the race policy
-//!                     always shares, the predicted policy shares only when
-//!                     the bucket's recorded sharing telemetry says it pays
-//!                     (the decision+reason land in each pair's metrics
-//!                     block and the race.plan trace event)
+//!                     it every threaded race shares one store; the decision
+//!                     lands in each pair's metrics block and the race.plan
+//!                     trace event
 //!   --trace-file FILE write a structured JSONL trace of the run: pair and
-//!                     race spans, scheme launches, verdicts, cancellations,
-//!                     escalations and GC-barrier activity, all
-//!                     tagged with pair/scheme/span correlation IDs. Off by
-//!                     default and free when off.
+//!                     race spans, scheme launches, verdicts, cancellations
+//!                     and GC-barrier activity, all tagged with
+//!                     pair/scheme/span correlation IDs. Off by default and
+//!                     free when off.
 //!   --metrics         print the folded hot-path metric counters (cache hit
 //!                     rates, GC and contention totals) to stderr after the
 //!                     batch (implied by --trace-file)
@@ -49,7 +38,6 @@
 
 use portfolio::batch::{load_manifest, manifest_from_dir, run_batch, BatchOptions, Manifest};
 use portfolio::chain::{ChainSpec, ChainStepSpec};
-use portfolio::SchedulePolicy;
 use std::path::PathBuf;
 
 struct Args {
@@ -61,8 +49,6 @@ struct Args {
     node_limit: Option<usize>,
     leaf_limit: Option<usize>,
     deadline: Option<f64>,
-    stats_file: Option<PathBuf>,
-    policy: Option<String>,
     private_packages: bool,
     trace_file: Option<PathBuf>,
     metrics: bool,
@@ -79,8 +65,6 @@ fn parse_args() -> Result<Args, String> {
         node_limit: None,
         leaf_limit: None,
         deadline: None,
-        stats_file: None,
-        policy: None,
         private_packages: false,
         trace_file: None,
         metrics: false,
@@ -127,16 +111,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.deadline = Some(seconds);
             }
-            "--stats-file" => args.stats_file = Some(PathBuf::from(value("--stats-file")?)),
-            "--policy" => {
-                let policy = value("--policy")?;
-                if policy != "race" && policy != "predicted" {
-                    return Err(format!(
-                        "--policy must be `race` or `predicted`, got `{policy}`"
-                    ));
-                }
-                args.policy = Some(policy);
-            }
             "--private-packages" => args.private_packages = true,
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
             "--metrics" => args.metrics = true,
@@ -146,7 +120,6 @@ fn parse_args() -> Result<Args, String> {
                     "usage: verify (--manifest FILE | --dir DIR | --chain A,B,C...) \
                      [--out FILE] [--workers N] \
                      [--node-limit N] [--leaf-limit N] [--deadline SECS] \
-                     [--stats-file FILE] [--policy race|predicted] \
                      [--private-packages] \
                      [--trace-file FILE] [--metrics] [--compact]"
                 );
@@ -248,16 +221,6 @@ fn main() {
     options.portfolio.leaf_limit = args.leaf_limit;
     options.portfolio.deadline = args.deadline.map(std::time::Duration::from_secs_f64);
     options.portfolio.shared_package = !args.private_packages;
-    // A stats file implies the predicted policy (that is its point); an
-    // explicit --policy always wins. Prediction with a cold store degrades
-    // to racing inside the scheduler, so the combination is always safe.
-    options.portfolio.policy = match (args.policy.as_deref(), &args.stats_file) {
-        (Some("race"), _) => SchedulePolicy::Race,
-        (Some("predicted"), _) | (None, Some(_)) => SchedulePolicy::predicted(),
-        (None, None) => SchedulePolicy::Race,
-        (Some(other), _) => unreachable!("validated by parse_args: {other}"),
-    };
-    options.stats = args.stats_file;
 
     if let Some(path) = &args.trace_file {
         if let Err(error) = obs::trace::install_file(path) {
@@ -277,15 +240,10 @@ fn main() {
         let status = match &pair.error {
             Some(error) => format!("ERROR ({error})"),
             None => format!(
-                "{} via {} in {:.4}s{}",
+                "{} via {} in {:.4}s",
                 pair.verdict,
                 pair.winner.map(|s| s.name()).unwrap_or("-"),
                 pair.time_to_verdict.as_secs_f64(),
-                match (pair.predicted, pair.escalation) {
-                    (true, Some(reason)) => format!(" [predicted, escalated: {reason}]"),
-                    (true, None) => " [predicted]".to_string(),
-                    _ => String::new(),
-                }
             ),
         };
         eprintln!("{:<24} {status}", pair.name);

@@ -3,15 +3,14 @@
 //! Speaks the newline-delimited JSON-RPC protocol of [`portfolio::wire`]
 //! over stdio (the default; one client) or a Unix socket (`--socket PATH`;
 //! concurrent clients, one thread per connection). All clients share one
-//! [`portfolio::service::VerificationService`]: the folded telemetry and the
+//! [`portfolio::service::VerificationService`]: the worker pool and the
 //! admission queue are daemon-global, while every race runs on a fresh
 //! decision-diagram store of its own.
 //!
 //! ```text
 //! verifyd [--socket PATH] [--workers N] [--max-queue N]
-//!         [--deadline SECS] [--node-limit N] [--policy race|predicted]
-//!         [--stats-file FILE] [--private-packages] [--trace-file FILE]
-//!         [--max-frame-bytes N]
+//!         [--deadline SECS] [--node-limit N] [--private-packages]
+//!         [--trace-file FILE] [--max-frame-bytes N]
 //! ```
 //!
 //! Methods: `verify-pair`, `verify-chain`, `verify-batch`, `stats`,
@@ -26,8 +25,8 @@
 //! ([`portfolio::chain`]); the response carries per-step
 //! reports and, on refutation, the `guilty_pass`.
 //!
-//! `drain` stops admission, finishes the backlog (all connections), saves
-//! the stats file, answers with the final service stats and exits 0.
+//! `drain` stops admission, finishes the backlog (all connections),
+//! answers with the final service stats and exits 0.
 //! `shutdown` is `drain` with the backlog cancelled first.
 
 use portfolio::chain::{ChainRequest, ChainStep};
@@ -35,7 +34,6 @@ use portfolio::service::{
     ChainOutcome, Request, RequestOutcome, ServiceConfig, Source, VerificationService,
 };
 use portfolio::wire::{self, code, Frame, RpcRequest};
-use portfolio::SchedulePolicy;
 use serde::Value;
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
@@ -50,8 +48,6 @@ struct Args {
     max_queue: Option<usize>,
     deadline: Option<f64>,
     node_limit: Option<usize>,
-    policy: Option<String>,
-    stats_file: Option<PathBuf>,
     private_packages: bool,
     trace_file: Option<PathBuf>,
     max_frame: usize,
@@ -64,8 +60,6 @@ fn parse_args() -> Result<Args, String> {
         max_queue: None,
         deadline: None,
         node_limit: None,
-        policy: None,
-        stats_file: None,
         private_packages: false,
         trace_file: None,
         max_frame: wire::MAX_FRAME_BYTES,
@@ -108,16 +102,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| "--node-limit must be a positive integer".to_string())?,
                 );
             }
-            "--policy" => {
-                let policy = value("--policy")?;
-                if policy != "race" && policy != "predicted" {
-                    return Err(format!(
-                        "--policy must be `race` or `predicted`, got `{policy}`"
-                    ));
-                }
-                args.policy = Some(policy);
-            }
-            "--stats-file" => args.stats_file = Some(PathBuf::from(value("--stats-file")?)),
             "--private-packages" => args.private_packages = true,
             "--trace-file" => args.trace_file = Some(PathBuf::from(value("--trace-file")?)),
             "--max-frame-bytes" => {
@@ -132,7 +116,6 @@ fn parse_args() -> Result<Args, String> {
                 return Err(format!(
                     "unknown flag `{other}`; usage: verifyd [--socket PATH] [--workers N] \
                      [--max-queue N] [--deadline SECS] [--node-limit N] \
-                     [--policy race|predicted] [--stats-file FILE] \
                      [--private-packages] [--trace-file FILE] [--max-frame-bytes N]"
                 ));
             }
@@ -675,16 +658,6 @@ fn main() {
     config.portfolio.deadline = args.deadline.map(Duration::from_secs_f64);
     config.portfolio.node_limit = args.node_limit;
     config.portfolio.shared_package = !args.private_packages;
-    // Like `verify`: a stats file implies the predicted policy unless an
-    // explicit --policy overrides; prediction over an empty store degrades
-    // to racing inside the scheduler.
-    config.portfolio.policy = match (args.policy.as_deref(), &args.stats_file) {
-        (Some("race"), _) => SchedulePolicy::Race,
-        (Some("predicted"), _) | (None, Some(_)) => SchedulePolicy::predicted(),
-        (None, None) => SchedulePolicy::Race,
-        (Some(other), _) => unreachable!("validated by parse_args: {other}"),
-    };
-    config.stats = args.stats_file;
 
     if let Some(path) = &args.trace_file {
         if let Err(error) = obs::trace::install_file(path) {
@@ -711,7 +684,7 @@ fn main() {
                 args.max_frame,
             );
             // stdin closed: the single client left. Finish the backlog it
-            // did not cancel, save stats, exit.
+            // did not cancel, exit.
             daemon.stopping.store(true, Ordering::SeqCst);
             daemon.service.drain();
             obs::trace::flush();

@@ -21,14 +21,12 @@
 //!    but can no longer certify the endpoints).
 
 use crate::batch::PairReport;
-use crate::engine::verify_portfolio_recorded;
+use crate::engine::verify_portfolio;
 use crate::service::Source;
-use crate::telemetry::TelemetryStore;
 use crate::PortfolioConfig;
 use circuit::QuantumCircuit;
 use qcec::Equivalence;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One circuit of a manifest chain entry.
@@ -188,11 +186,7 @@ fn weakest(a: Equivalence, b: Equivalence) -> Equivalence {
 }
 
 /// Verifies a parsed chain pass-by-pass, one portfolio race per step.
-pub(crate) fn run_chain(
-    parsed: &ParsedChain,
-    portfolio: &PortfolioConfig,
-    telemetry: Option<&Mutex<TelemetryStore>>,
-) -> ChainReport {
+pub(crate) fn run_chain(parsed: &ParsedChain, portfolio: &PortfolioConfig) -> ChainReport {
     let start = Instant::now();
     let steps_total = parsed.circuits.len().saturating_sub(1);
     let mut steps = Vec::with_capacity(steps_total);
@@ -208,11 +202,10 @@ pub(crate) fn run_chain(
             break;
         }
         let pass = parsed.labels[index + 1].clone();
-        let result = verify_portfolio_recorded(
+        let result = verify_portfolio(
             &parsed.circuits[index],
             &parsed.circuits[index + 1],
             portfolio,
-            telemetry,
         );
         obs::metrics::incr(obs::metrics::CHAIN_STEPS);
         let report = PairReport::from_result(

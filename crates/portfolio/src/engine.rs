@@ -2,21 +2,20 @@
 //!
 //! The engine owns no policy. It asks the [scheduler](crate::scheduler) for
 //! a [`SchedulePlan`] and executes it — sequentially on the calling thread,
-//! or as a thread race with an optional held-back escalation wave — wiring
-//! up budgets, cancellation, the shared decision-diagram store and per-
-//! scheme telemetry along the way. Which schemes launch, in what order and
-//! with what memory hints is entirely the plan's business; what a scheme
-//! *does* is its [registry descriptor](crate::scheme::SchemeDescriptor)'s.
+//! or as a thread race — wiring up budgets, cancellation, the shared
+//! decision-diagram store and per-scheme telemetry along the way. Which
+//! schemes launch, in what order and on what store is entirely the plan's
+//! business; what a scheme *does* is its
+//! [registry descriptor](crate::scheme::SchemeDescriptor)'s.
 
-use crate::scheduler::{self, SchedulePlan, SchedulePolicy};
+use crate::scheduler::{self, SchedulePlan};
 use crate::scheme::{applicable_descriptors, Scheme, SchemeOutcome};
-use crate::telemetry::TelemetryStore;
 use circuit::QuantumCircuit;
 use dd::{Budget, CancelToken, SharedStore, SharedStoreStats};
 use qcec::{Configuration, Equivalence};
 use sim::ExtractionConfig;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of a portfolio run.
@@ -28,13 +27,9 @@ pub struct PortfolioConfig {
     pub configuration: Configuration,
     /// Extraction settings for the fixed-input scheme.
     pub extraction: ExtractionConfig,
-    /// Schemes to launch; empty lets the scheduler select and order the
-    /// [`applicable_schemes`] according to [`policy`](Self::policy).
+    /// Schemes to launch; empty lets the scheduler launch every one of the
+    /// [`applicable_schemes`].
     pub schemes: Vec<Scheme>,
-    /// Launch policy: race everything (default) or launch the predicted
-    /// winners first and escalate on stall. Ignored when
-    /// [`schemes`](Self::schemes) is explicit.
-    pub policy: SchedulePolicy,
     /// Optional per-scheme decision-diagram node budget. The budget keeps
     /// its per-scheme meaning under [`shared_package`](Self::shared_package):
     /// each scheme is metered on the nodes *it* allocated into the shared
@@ -48,14 +43,10 @@ pub struct PortfolioConfig {
     /// Race all schemes against one shared decision-diagram store
     /// ([`dd::SharedStore`]) instead of private per-scheme packages, so the
     /// miter, simulative and extraction walkers reuse each other's gate
-    /// diagrams and subdiagrams (default: `true`). `false` is absolute —
-    /// no plan ever shares; `true` is a *ceiling*: the race policy shares
-    /// on every threaded plan, while [`SchedulePolicy::Predicted`] decides
-    /// per pair from recorded
-    /// [`SharingStats`](crate::telemetry::SharingStats) and may race a
-    /// low-payoff bucket on private packages anyway (see
+    /// diagrams and subdiagrams (default: `true`). Applies to threaded
+    /// plans; the sequential tiny-instance plan runs one scheme at a time
+    /// and never shares (see
     /// [`SchedulePlan::shared`](crate::scheduler::SchedulePlan::shared)).
-    /// The sequential tiny-instance plan is unaffected either way.
     pub shared_package: bool,
     /// Optional *external* cancellation scope for the whole run — e.g. the
     /// verification service's per-request token, tripped when the client
@@ -72,32 +63,12 @@ impl Default for PortfolioConfig {
             configuration: Configuration::default(),
             extraction: ExtractionConfig::default(),
             schemes: Vec::new(),
-            policy: SchedulePolicy::Race,
             node_limit: None,
             leaf_limit: None,
             deadline: None,
             shared_package: true,
             cancel: None,
         }
-    }
-}
-
-impl PortfolioConfig {
-    /// A copy of the config with the scheduler's per-scheme GC hint folded
-    /// into the memory configuration of every package the scheme will
-    /// create. The hint only ever *tightens*: it can only lower thresholds
-    /// (a disabled automatic GC stays disabled).
-    fn with_hints(&self, scheduled: &crate::scheduler::ScheduledScheme) -> PortfolioConfig {
-        let mut config = self.clone();
-        if let Some(hint) = scheduled.gc_hint {
-            if let Some(threshold) = config.configuration.memory.gc_threshold {
-                config.configuration.memory.gc_threshold = Some(threshold.min(hint));
-            }
-            if let Some(threshold) = config.extraction.memory.gc_threshold {
-                config.extraction.memory.gc_threshold = Some(threshold.min(hint));
-            }
-        }
-        config
     }
 }
 
@@ -133,52 +104,6 @@ pub struct SchemeReport {
     /// always `Some` (down to `0.0` for a scheme cancelled before its first
     /// canonical lookup — never NaN/null) when racing on a shared store.
     pub cross_thread_hit_rate: Option<f64>,
-}
-
-/// Why a predicted run launched its reserve wave (see
-/// [`SchedulePolicy::Predicted`]). Serialized as `"stall"` /
-/// `"inconclusive-drain"` in batch JSON and trace events.
-///
-/// The two reasons point at different scheduler mistakes: a [`Stall`]
-/// means the predicted winners were *too slow* (the stall deadline may be
-/// tuned, or the prediction was wrong about speed); an
-/// [`InconclusiveDrain`] means they were *incapable* — every primary
-/// scheme finished without settling the pair, so no deadline tuning would
-/// have helped.
-///
-/// [`Stall`]: EscalationReason::Stall
-/// [`InconclusiveDrain`]: EscalationReason::InconclusiveDrain
-/// [`SchedulePolicy::Predicted`]: crate::scheduler::SchedulePolicy::Predicted
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EscalationReason {
-    /// No conclusive verdict arrived within the plan's stall deadline
-    /// while primary schemes were still running.
-    Stall,
-    /// Every primary scheme finished before the deadline, all of them
-    /// inconclusive, so the reserve launched immediately.
-    InconclusiveDrain,
-}
-
-impl EscalationReason {
-    /// Stable machine-readable name, used in batch JSON and trace events.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EscalationReason::Stall => "stall",
-            EscalationReason::InconclusiveDrain => "inconclusive-drain",
-        }
-    }
-}
-
-impl std::fmt::Display for EscalationReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl serde::Serialize for EscalationReason {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::String(self.as_str().to_string())
-    }
 }
 
 /// Telemetry of the shared decision-diagram store behind one portfolio race
@@ -287,36 +212,16 @@ pub struct PortfolioResult {
     /// Wall time until every worker had stopped (losers unwind after
     /// cancellation, so this stays close to `time_to_verdict`).
     pub total_time: Duration,
-    /// Whether recorded telemetry steered the launch plan (`false` for
-    /// race-everything runs, including predicted runs that degraded to
-    /// racing because the pair's feature bucket had no stats).
-    pub predicted: bool,
-    /// Why a predicted run had to launch its reserve wave, if it did.
-    /// `None` when the primary wave settled the pair — and always `None`
-    /// for race-everything runs, which hold nothing back to escalate to.
-    pub escalation: Option<EscalationReason>,
     /// Telemetry of every scheme that launched, in completion order.
     pub schemes: Vec<SchemeReport>,
-    /// Whether the run raced on a shared decision-diagram store — the
-    /// plan's per-pair decision (see
-    /// [`SchedulePlan::shared`](crate::scheduler::SchedulePlan::shared)),
-    /// not just the config default.
+    /// Whether the run raced on a shared decision-diagram store (see
+    /// [`SchedulePlan::shared`](crate::scheduler::SchedulePlan::shared)):
+    /// `true` exactly when [`shared_store`](Self::shared_store) is `Some`.
     pub shared: bool,
-    /// The scheduler's stable reason tag for the sharing decision
-    /// (`"race-default"`, `"config-private"`, `"explicit-schemes"`,
-    /// `"cold-telemetry"`, `"predicted-shared"`, `"predicted-private"`).
-    pub shared_reason: &'static str,
     /// Shared-store telemetry when the run used one
     /// ([`PortfolioConfig::shared_package`]); `None` for private-package
     /// races and sequential runs.
     pub shared_store: Option<SharedStoreReport>,
-}
-
-impl PortfolioResult {
-    /// Whether the run escalated to its reserve wave (for any reason).
-    pub fn escalated(&self) -> bool {
-        self.escalation.is_some()
-    }
 }
 
 /// Selects the schemes worth racing for a circuit pair, in race-launch
@@ -494,11 +399,8 @@ fn combine(
         winner,
         time_to_verdict: time_to_verdict.unwrap_or(total_time),
         total_time,
-        predicted: false,
-        escalation: None,
         schemes: reports,
         shared: false,
-        shared_reason: "config-private",
         shared_store: None,
     }
 }
@@ -507,74 +409,28 @@ fn combine(
 /// a circuit pair and returns the first conclusive verdict plus per-scheme
 /// telemetry.
 ///
-/// Under the default [`SchedulePolicy::Race`] every applicable scheme races
-/// across `std::thread` workers against one shared decision-diagram store
-/// ([`PortfolioConfig::shared_package`]): whichever scheme builds a gate
-/// diagram or subdiagram first, the others get it as a cache hit. The
-/// workers additionally share one [`CancelToken`], so the moment a
-/// conclusive verdict arrives the losing schemes stop burning cores and
-/// unwind. The wall time of the whole call therefore tracks the *fastest*
-/// scheme, while the verdict quality matches the best scheme that could
-/// have run alone. Two plan shapes keep the overhead over the fastest
-/// single scheme small:
+/// Every applicable scheme races across `std::thread` workers against one
+/// shared decision-diagram store ([`PortfolioConfig::shared_package`]):
+/// whichever scheme builds a gate diagram or subdiagram first, the others
+/// get it as a cache hit. The workers additionally share one
+/// [`CancelToken`], so the moment a conclusive verdict arrives the losing
+/// schemes stop burning cores and unwind. The wall time of the whole call
+/// therefore tracks the *fastest* scheme, while the verdict quality matches
+/// the best scheme that could have run alone. Two plan shapes keep the
+/// overhead over the fastest single scheme small:
 ///
 /// * tiny instances (≤ 8 qubits, ≤ 256 operations) get a *sequential* plan
-///   — the schemes are tried one after another on the calling thread,
-///   below the cost of a thread spawn;
+///   — the schemes are tried one after another on the calling thread, each
+///   on a private package, below the cost of a thread spawn;
 /// * in a race, the heuristically fastest scheme runs inline on the calling
 ///   thread while only the competitors are spawned.
-///
-/// Under [`SchedulePolicy::Predicted`] (and recorded stats — see
-/// [`verify_portfolio_recorded`]) only the top-`k` predicted winners launch,
-/// with the rest of the portfolio held back as an escalation wave.
 pub fn verify_portfolio(
     left: &QuantumCircuit,
     right: &QuantumCircuit,
     config: &PortfolioConfig,
 ) -> PortfolioResult {
-    verify_portfolio_recorded(left, right, config, None)
-}
-
-/// [`verify_portfolio`] wired to a persistent [`TelemetryStore`]: the
-/// scheduler plans against the store's recorded stats (enabling
-/// [`SchedulePolicy::Predicted`] to actually predict), and every scheme
-/// report of the run is folded back in afterwards. This is the entry point
-/// the batch driver uses for `verify --stats-file`.
-pub fn verify_portfolio_recorded(
-    left: &QuantumCircuit,
-    right: &QuantumCircuit,
-    config: &PortfolioConfig,
-    telemetry: Option<&Mutex<TelemetryStore>>,
-) -> PortfolioResult {
-    let plan = {
-        // Hold the lock only while planning (a handful of map lookups);
-        // recover from poisoning like every other portfolio lock.
-        let guard = telemetry.map(|store| store.lock().unwrap_or_else(PoisonError::into_inner));
-        scheduler::plan(left, right, config, guard.as_deref())
-    };
-    let result = execute_plan(left, right, config, &plan);
-    if let Some(telemetry) = telemetry {
-        let mut guard = telemetry.lock().unwrap_or_else(PoisonError::into_inner);
-        guard.record_race(&plan.features, &result.schemes, result.winner);
-        // Sharing payoff is only measurable on shared races (a private race
-        // has no store to report), so those are what the per-bucket
-        // `SharingStats` accumulate; the race-everything policy keeps
-        // producing fresh samples even after a predicted-private streak.
-        if let Some(report) = &result.shared_store {
-            guard.record_sharing(
-                &plan.features,
-                report.cross_thread_hit_rate,
-                report.shard_contention_seconds,
-                result.total_time.as_secs_f64(),
-            );
-        }
-        drop(guard);
-        obs::trace::event(
-            "telemetry.fold",
-            &[("schemes", (result.schemes.len() as u64).into())],
-        );
-    }
-    result
+    let plan = scheduler::plan(left, right, config, None);
+    execute_plan(left, right, config, &plan)
 }
 
 /// Executes a launch plan: the engine proper.
@@ -592,21 +448,13 @@ fn execute_plan(
         "race",
         &[
             ("sequential", plan.sequential.into()),
-            ("predicted", plan.predicted.into()),
-            ("primary", (plan.primary.len() as u64).into()),
-            ("reserve", (plan.reserve.len() as u64).into()),
+            ("primary", (plan.schemes.len() as u64).into()),
         ],
     );
-    obs::trace::event(
-        "race.plan",
-        &[
-            ("shared", plan.shared.into()),
-            ("reason", plan.shared_reason.into()),
-        ],
-    );
+    obs::trace::event("race.plan", &[("shared", plan.shared.into())]);
 
     // One shared absolute deadline for the whole run, fixed up front so
-    // every scheme (including escalation-wave workers) counts down together.
+    // every scheme counts down together.
     let deadline_at = config.deadline.map(|timeout| Instant::now() + timeout);
     let make_budget = || {
         let mut budget = Budget::unlimited().with_cancel_token(cancel.clone());
@@ -624,13 +472,7 @@ fn execute_plan(
         }
         budget
     };
-
-    // Per-launch configs with the scheduler's memory hints folded in;
-    // workers borrow these across the scope below.
-    let launches: Vec<(Scheme, PortfolioConfig)> = plan
-        .all_schemes()
-        .map(|scheduled| (scheduled.scheme, config.with_hints(scheduled)))
-        .collect();
+    let launches = &plan.schemes;
 
     if plan.sequential {
         let start = Instant::now();
@@ -639,7 +481,7 @@ fn execute_plan(
         let mut verdict = None;
         let mut winner = None;
         let mut time_to_verdict = None;
-        for (scheme, scheme_config) in &launches {
+        for &scheme in launches {
             // An external cancellation (client disconnect) ends the
             // sequential fallback chain between schemes — each scheme
             // already unwinds internally via the budget.
@@ -650,7 +492,7 @@ fn execute_plan(
                 obs::trace::with_context(obs::trace::current_context().with_scheme(scheme.name()));
             obs::trace::event("scheme.launch", &[("wave", "sequential".into())]);
             obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
-            let report = run_scheme_caught(*scheme, left, right, scheme_config, &budget, None);
+            let report = run_scheme_caught(scheme, left, right, config, &budget, None);
             let conclusive = report.conclusive;
             if conclusive {
                 verdict = report.verdict;
@@ -676,19 +518,16 @@ fn execute_plan(
                 break;
             }
         }
-        let mut result = combine(start, reports, verdict, winner, time_to_verdict);
-        result.predicted = plan.predicted;
-        result.shared = plan.shared;
-        result.shared_reason = plan.shared_reason;
+        // No store: the sequential plan runs every scheme on a private
+        // package, so the result reports `shared: false`.
+        let result = combine(start, reports, verdict, winner, time_to_verdict);
         finish_race(race_span, &result);
         return result;
     }
 
     // Threaded execution: one fresh concurrent store for the whole run, so
     // every scheme interning the same gate diagram or subdiagram gets the
-    // other schemes' work as cache hits instead of rebuilding it. Whether a
-    // store exists at all is the *plan's* per-pair decision, not the
-    // config's global one.
+    // other schemes' work as cache hits instead of rebuilding it.
     let store = plan.shared.then(SharedStore::new);
 
     let start = Instant::now();
@@ -696,23 +535,15 @@ fn execute_plan(
     let mut verdict: Option<Equivalence> = None;
     let mut winner: Option<Scheme> = None;
     let mut time_to_verdict: Option<Duration> = None;
-    let mut escalation: Option<EscalationReason> = None;
 
     // The run winner is the conclusive scheme that *finished* first —
     // reports can be handled out of finish order because the collector may
     // be busy with the inline scheme.
-    fn note(
-        report: SchemeReport,
-        finished_at: Duration,
-        verdict: &mut Option<Equivalence>,
-        winner: &mut Option<Scheme>,
-        time_to_verdict: &mut Option<Duration>,
-        reports: &mut Vec<SchemeReport>,
-    ) {
+    let mut note = |report: SchemeReport, finished_at: Duration| {
         if report.conclusive && time_to_verdict.map(|t| finished_at < t).unwrap_or(true) {
-            *verdict = report.verdict;
-            *winner = Some(report.scheme);
-            *time_to_verdict = Some(finished_at);
+            verdict = report.verdict;
+            winner = Some(report.scheme);
+            time_to_verdict = Some(finished_at);
             obs::trace::event(
                 "race.verdict",
                 &[
@@ -729,31 +560,32 @@ fn execute_plan(
             );
         }
         reports.push(report);
-    }
+    };
 
-    let primary = plan.primary.len();
     std::thread::scope(|scope| {
         // Reports travel with the run-relative instant their scheme
         // finished, so `time_to_verdict` reflects when the verdict was
         // *produced*, not when the collector got around to processing it.
         let (sender, receiver) = mpsc::channel::<(SchemeReport, Duration)>();
-        let spawn_scheme = |index: usize, wave: &'static str| {
+        // Spawn the competitors and run the favourite (launch index 0)
+        // inline on the calling thread — when it wins, the common case
+        // given the registry's race ranks, the race adds no thread-spawn
+        // latency over the fastest single scheme.
+        for &scheme in &launches[1..] {
             let budget = make_budget();
             let sender = sender.clone();
             let cancel = cancel.clone();
             let store = store.as_ref();
-            let launches = &launches;
             // Captured on the coordinator, under the race span: the worker
             // installs it so its scheme span (and every dd GC span inside)
             // nests under this pair's race with the scheme tagged on.
             let worker_ctx = obs::trace::current_context();
             scope.spawn(move || {
-                let (scheme, scheme_config) = &launches[index];
                 let _trace = obs::trace::with_context(worker_ctx.with_scheme(scheme.name()));
-                obs::trace::event("scheme.launch", &[("wave", wave.into())]);
+                obs::trace::event("scheme.launch", &[("wave", "primary".into())]);
                 obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
-                let scheme_span = obs::trace::span("scheme.run", &[("wave", wave.into())]);
-                let report = run_scheme_caught(*scheme, left, right, scheme_config, &budget, store);
+                let scheme_span = obs::trace::span("scheme.run", &[("wave", "primary".into())]);
+                let report = run_scheme_caught(scheme, left, right, config, &budget, store);
                 let finished_at = start.elapsed();
                 if report.conclusive {
                     // Cancel from inside the worker so losers start unwinding
@@ -769,160 +601,34 @@ fn execute_plan(
                 // tolerant anyway: a worker must never panic on send.
                 let _ = sender.send((report, finished_at));
             });
-        };
-
-        match plan.escalate_after {
-            None => {
-                // Race everything: spawn the competitors and run the
-                // favourite (launch index 0) inline on the calling thread —
-                // when it wins, the common case given the registry's race
-                // ranks, the race adds no thread-spawn latency over the
-                // fastest single scheme.
-                for index in 1..launches.len() {
-                    spawn_scheme(index, "primary");
-                }
-                let (scheme, scheme_config) = &launches[0];
-                let inline_trace = obs::trace::with_context(
-                    obs::trace::current_context().with_scheme(scheme.name()),
-                );
-                obs::trace::event("scheme.launch", &[("wave", "inline".into())]);
-                obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
-                let inline_span = obs::trace::span("scheme.run", &[("wave", "inline".into())]);
-                let inline_report = run_scheme_caught(
-                    *scheme,
-                    left,
-                    right,
-                    scheme_config,
-                    &make_budget(),
-                    store.as_ref(),
-                );
-                let inline_finished_at = start.elapsed();
-                if inline_report.conclusive {
-                    cancel.cancel();
-                    obs::trace::event("race.cancel", &[("by", scheme.name().into())]);
-                }
-                inline_span.end(&[
-                    ("conclusive", inline_report.conclusive.into()),
-                    ("cancelled", inline_report.cancelled.into()),
-                ]);
-                drop(inline_trace);
-                note(
-                    inline_report,
-                    inline_finished_at,
-                    &mut verdict,
-                    &mut winner,
-                    &mut time_to_verdict,
-                    &mut reports,
-                );
-                // Every worker sends exactly one report (panics are caught
-                // inside the worker body), so receive by count — the
-                // collector keeps a sender clone alive, so disconnection
-                // can never signal the end.
-                for _ in 1..launches.len() {
-                    let Ok((report, finished_at)) = receiver.recv() else {
-                        break;
-                    };
-                    note(
-                        report,
-                        finished_at,
-                        &mut verdict,
-                        &mut winner,
-                        &mut time_to_verdict,
-                        &mut reports,
-                    );
-                }
-            }
-            Some(escalate_after) => {
-                // Predicted launch: the primary wave runs on workers while
-                // the collector keeps the stall clock. The reserve launches
-                // when the primary wave stalls past the deadline or drains
-                // without a conclusive verdict.
-                for index in 0..primary {
-                    spawn_scheme(index, "primary");
-                }
-                let escalate_at = start + escalate_after;
-                let mut pending = primary;
-                // A dead client must not trigger the escalation wave: the
-                // primaries unwind as inconclusive when the external token
-                // trips, which would otherwise read as an escalation cue.
-                let externally_cancelled = || {
-                    config
-                        .cancel
-                        .as_ref()
-                        .is_some_and(CancelToken::is_cancelled)
-                };
-                loop {
-                    if pending == 0 {
-                        if verdict.is_none() && escalation.is_none() && !externally_cancelled() {
-                            // The primary wave drained inconclusive before
-                            // the stall deadline: the predicted schemes were
-                            // incapable, not slow.
-                            escalation = Some(EscalationReason::InconclusiveDrain);
-                            obs::metrics::incr(obs::metrics::PF_ESCALATIONS_DRAIN);
-                            obs::trace::event(
-                                "race.escalate",
-                                &[
-                                    (
-                                        "reason",
-                                        EscalationReason::InconclusiveDrain.as_str().into(),
-                                    ),
-                                    ("reserve", ((launches.len() - primary) as u64).into()),
-                                ],
-                            );
-                            for index in primary..launches.len() {
-                                spawn_scheme(index, "reserve");
-                            }
-                            pending = launches.len() - primary;
-                            continue;
-                        }
-                        break;
-                    }
-                    let message =
-                        if escalation.is_some() || verdict.is_some() || externally_cancelled() {
-                            // Nothing left to escalate (or the client walked away
-                            // mid-wave — the workers are already unwinding): just
-                            // drain the remaining reports.
-                            receiver.recv().ok()
-                        } else {
-                            match receiver
-                                .recv_timeout(escalate_at.saturating_duration_since(Instant::now()))
-                            {
-                                Ok(message) => Some(message),
-                                Err(mpsc::RecvTimeoutError::Timeout) => {
-                                    // Deadline hit with primaries still running:
-                                    // a stall, the classic misprediction.
-                                    escalation = Some(EscalationReason::Stall);
-                                    obs::metrics::incr(obs::metrics::PF_ESCALATIONS_STALL);
-                                    obs::trace::event(
-                                        "race.escalate",
-                                        &[
-                                            ("reason", EscalationReason::Stall.as_str().into()),
-                                            ("reserve", ((launches.len() - primary) as u64).into()),
-                                        ],
-                                    );
-                                    for index in primary..launches.len() {
-                                        spawn_scheme(index, "reserve");
-                                    }
-                                    pending += launches.len() - primary;
-                                    continue;
-                                }
-                                Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                            }
-                        };
-                    let Some((report, finished_at)) = message else {
-                        break;
-                    };
-                    pending -= 1;
-                    note(
-                        report,
-                        finished_at,
-                        &mut verdict,
-                        &mut winner,
-                        &mut time_to_verdict,
-                        &mut reports,
-                    );
-                }
-            }
+        }
+        let scheme = launches[0];
+        let inline_trace =
+            obs::trace::with_context(obs::trace::current_context().with_scheme(scheme.name()));
+        obs::trace::event("scheme.launch", &[("wave", "inline".into())]);
+        obs::metrics::incr(obs::metrics::PF_SCHEME_LAUNCHES);
+        let inline_span = obs::trace::span("scheme.run", &[("wave", "inline".into())]);
+        let inline_report =
+            run_scheme_caught(scheme, left, right, config, &make_budget(), store.as_ref());
+        let inline_finished_at = start.elapsed();
+        if inline_report.conclusive {
+            cancel.cancel();
+            obs::trace::event("race.cancel", &[("by", scheme.name().into())]);
+        }
+        inline_span.end(&[
+            ("conclusive", inline_report.conclusive.into()),
+            ("cancelled", inline_report.cancelled.into()),
+        ]);
+        drop(inline_trace);
+        note(inline_report, inline_finished_at);
+        // Every worker sends exactly one report (panics are caught inside
+        // the worker body), so receive by count — the collector keeps a
+        // sender clone alive, so disconnection can never signal the end.
+        for _ in 1..launches.len() {
+            let Ok((report, finished_at)) = receiver.recv() else {
+                break;
+            };
+            note(report, finished_at);
         }
     });
 
@@ -944,10 +650,7 @@ fn execute_plan(
     }
 
     let mut result = combine(start, reports, verdict, winner, time_to_verdict);
-    result.predicted = plan.predicted;
     result.shared = plan.shared;
-    result.shared_reason = plan.shared_reason;
-    result.escalation = escalation;
     // Every scheme's workspaces are gone by now (the scope joined all
     // workers), so the store's flushed counters are complete.
     result.shared_store = store.map(|store| SharedStoreReport::from_stats(&store.stats()));
@@ -974,14 +677,6 @@ fn finish_race(span: obs::trace::Span, result: &PortfolioResult) {
         ),
         ("verdict_us", result.time_to_verdict.into()),
         ("cancelled", cancelled.into()),
-        (
-            "escalation",
-            result
-                .escalation
-                .map(EscalationReason::as_str)
-                .unwrap_or("none")
-                .into(),
-        ),
     ]);
 }
 

@@ -9,45 +9,33 @@
 //!
 //! * **[`scheme`] — the registry.** Every registered scheme is a
 //!   [`SchemeDescriptor`](scheme::SchemeDescriptor): an applicability
-//!   predicate over the circuit pair, static cost features, launch ranks
-//!   and a runner function; the [`Scheme`] it describes carries the static
-//!   name. The engine and scheduler are generic over registry entries;
-//!   adding a scheme means adding one descriptor. The seven entries are
-//!   three miter schedules (proportional, aligned, one-to-one) plus
-//!   simulation for static pairs, and the reconstruction flow under the
-//!   proportional and aligned schedules plus the fixed-input extraction for
-//!   dynamic pairs. On a reconstructed pair the aligned schedule
-//!   ([`qcec::Strategy::Aligned`]) pairs every gate with its reordered
-//!   twin, so `dynamic-functional(aligned)` decides the paper's QFT, QPE
-//!   and BV rows without leaving the identity. The reference schedule
+//!   predicate over the circuit pair, launch ranks and a runner function;
+//!   the [`Scheme`] it describes carries the static name. The engine and
+//!   scheduler are generic over registry entries; adding a scheme means
+//!   adding one descriptor. The seven entries are three miter schedules
+//!   (proportional, aligned, one-to-one) plus simulation for static pairs,
+//!   and the reconstruction flow under the proportional and aligned
+//!   schedules plus the fixed-input extraction for dynamic pairs. On a
+//!   reconstructed pair the aligned schedule ([`qcec::Strategy::Aligned`])
+//!   pairs every gate with its reordered twin, so
+//!   `dynamic-functional(aligned)` decides the paper's QFT, QPE and BV rows
+//!   without leaving the identity. The reference schedule
 //!   ([`qcec::Strategy::Reference`]) is not raced. An explicit
 //!   [`PortfolioConfig::schemes`] list may still name an unregistered
 //!   scheme (such as `DynamicFunctional(OneToOne)` or
 //!   `Functional(Reference)`): it runs nothing and comes back as a failed
 //!   [`SchemeReport`] naming the missing entry.
-//! * **[`scheduler`] — the policy.** [`scheduler::plan`] turns a circuit
-//!   pair, a [`SchedulePolicy`] and recorded telemetry into a launch plan.
-//!   [`SchedulePolicy::Race`] (the default, and the paper's proposal)
-//!   launches every applicable scheme at once — first conclusive verdict
-//!   wins, a shared [`CancelToken`](dd::CancelToken) unwinds the losers.
-//!   [`SchedulePolicy::Predicted`] launches only the top-`k` schemes the
-//!   telemetry predicts for the pair's feature bucket and escalates to the
-//!   full portfolio on stall or an inconclusive primary wave; with no
-//!   recorded stats it degrades to the exact race plan. The tiny-instance
-//!   sequential fast path is a plan shape, not an engine special case.
-//! * **[`telemetry`] — the memory.** Every [`SchemeReport`] folds into
-//!   per-(scheme, feature-bucket) running stats
-//!   ([`telemetry::TelemetryStore`]) that serialize to JSON and are
-//!   loaded/merged/saved across batch runs (`verify --stats-file`,
-//!   [`batch::BatchOptions::stats`]). The same stats drive per-scheme
-//!   garbage-collection budget hints
-//!   ([`ScheduledScheme::gc_hint`](scheduler::ScheduledScheme::gc_hint)),
-//!   threaded through [`qcec::Configuration`] into the decision-diagram
-//!   [`MemoryConfig`](dd::MemoryConfig).
+//! * **[`scheduler`] — the launch plan.** [`scheduler::plan`] turns a
+//!   circuit pair into a [`SchedulePlan`](scheduler::SchedulePlan) that
+//!   launches every applicable scheme at once, the paper's proposal: first
+//!   conclusive verdict wins, a shared [`CancelToken`](dd::CancelToken)
+//!   unwinds the losers. The tiny-instance sequential fast path is a plan
+//!   shape, not an engine special case.
+//! * **the engine — the launcher.** [`verify_portfolio`] executes the plan
+//!   for one pair: on the calling thread for a sequential plan, otherwise
+//!   as a thread race, by default on one fresh [`dd::SharedStore`].
 //!
-//! [`verify_portfolio`] executes a plan for one pair;
-//! [`verify_portfolio_recorded`] additionally reads and feeds a telemetry
-//! store. The [`service`] module wraps the engine in a long-lived
+//! The [`service`] module wraps the engine in a long-lived
 //! [`VerificationService`](service::VerificationService); the [`batch`]
 //! module (whole workloads from a JSON manifest or a directory of QASM
 //! pairs, machine-readable JSON report) and the `verifyd` daemon are its
@@ -65,18 +53,15 @@
 //!                                   │  CancelToken per request (a dropped
 //!                                   │  client kills its in-flight race)
 //!                                   ▼
-//!                       engine::verify_portfolio_recorded
-//!                       folded TelemetryStore · obs
+//!                       engine::verify_portfolio · obs
 //!                       (one fresh dd::SharedStore per race)
 //! ```
 //!
-//! The service owns the state that makes a *resident* checker worth
-//! running: the continuously folded [`TelemetryStore`] driving the
-//! predictive scheduler, and the process-global `obs` substrate (each
-//! response carries the metrics delta folded around its race). It keeps no
-//! decision-diagram state between requests: every race builds its own
-//! store and drops it when the race ends, as a one-shot
-//! [`verify_portfolio`] call does. [`service::VerificationService::submit`]
+//! The service owns the worker pool, the admission queue and the
+//! process-global `obs` substrate (each response carries the metrics delta
+//! folded around its race). It keeps no verification state between
+//! requests: every race builds its own store and drops it when the race
+//! ends, as a one-shot [`verify_portfolio`] call does. [`service::VerificationService::submit`]
 //! applies admission control — beyond `workers + max_queue` admitted
 //! requests it rejects with a structured reason instead of queueing
 //! unboundedly — and returns a handle whose *drop* cancels the request:
@@ -160,12 +145,12 @@
 //! is installed — `verify --trace-file FILE` writes JSONL where every line
 //! carries `ts_us`/`thread`/`ev`/`kind` plus the ambient correlation IDs
 //! (`pair`, `pair_name`, `scheme`, `span`/`parent`). The span tree per
-//! pair: `pair` → `race` (fields: plan shape, verdict, winner, escalation)
-//! → `scheme.run` per launch → the dd GC spans of whatever that scheme
-//! allocated. Point events: `scheme.launch` (wave: inline / primary /
-//! reserve / sequential), `race.verdict` (one per winner improvement),
-//! `race.cancel`, `race.escalate` (with the [`EscalationReason`]),
-//! `telemetry.fold`.
+//! pair: `pair` → `race` (fields: `sequential`, `primary` — the launch
+//! count — then verdict, winner and cancellations at its end) →
+//! `scheme.run` per launch → the dd GC spans of whatever that scheme
+//! allocated. Point events: `race.plan` (whether the race shares a store),
+//! `scheme.launch` (wave: inline / primary / sequential), `race.verdict`
+//! (one per winner improvement), `race.cancel`.
 //!
 //! The portfolio metric catalogue — each entry's caveat states what the
 //! bare number misleads about:
@@ -175,8 +160,6 @@
 //! | `portfolio.races` | count | counts sequential tiny-instance plans as races too |
 //! | `portfolio.scheme_launches` | count | launched is not finished: cancelled schemes count like winners |
 //! | `portfolio.cancellations` | count | cancellation is cooperative; a scheme may finish before noticing |
-//! | `portfolio.escalations.stall` | count | stall is a wall-clock verdict; a loaded machine escalates pairs a quiet one would not |
-//! | `portfolio.escalations.drain` | count | drain indicts the prediction; stall may only indict the deadline |
 //! | `batch.pairs` | count | includes pairs that failed to parse |
 //! | `service.requests` | count | admitted is not completed: cancelled requests count like served ones |
 //! | `service.queue_depth` / `service.inflight` | count | running *sums* sampled at admission/dispatch, not gauges — divide by `service.requests` for means; `stats` has the live gauges |
@@ -184,10 +167,10 @@
 //! | `service.request_duration` | ns hist | dispatch-to-outcome only, queue wait invisible; log2 buckets make the p99 an upper bound |
 //!
 //! The batch JSON carries an always-on per-pair `metrics` block
-//! ([`batch::PairMetrics`]: cache and cross-thread hit rates, GC-barrier
-//! wait, lock contention) derived from the same counters — no
-//! trace file needed. `verify --metrics` prints the folded counters to
-//! stderr after a run; `--trace-file` implies it.
+//! ([`batch::PairMetrics`]: whether the race shared a store, cache and
+//! cross-thread hit rates, GC-barrier wait, lock contention) derived from
+//! the same counters — no trace file needed. `verify --metrics` prints the
+//! folded counters to stderr after a run; `--trace-file` implies it.
 //!
 //! ## Failure isolation
 //!
@@ -229,10 +212,6 @@
 //! * when the fixed-input scheme claims equivalence but a functional scheme
 //!   in the same run finished with a refutation, the refutation wins — the
 //!   weaker claim never overrides the stronger proof.
-//!
-//! Predicted plans narrow *which* schemes launch, never the verdict rules:
-//! an escalated run applies the same precedence across both waves, and the
-//! acceptance suite pins verdict parity between predicted and race runs.
 
 #![warn(missing_docs)]
 
@@ -242,14 +221,11 @@ mod engine;
 pub mod scheduler;
 pub mod scheme;
 pub mod service;
-pub mod telemetry;
 pub mod wire;
 
 pub use chain::{ChainReport, ChainRequest, ChainSpec, ChainStep, ChainStepReport, ChainStepSpec};
 pub use engine::{
-    applicable_schemes, run_scheme, run_scheme_in, verify_portfolio, verify_portfolio_recorded,
-    EscalationReason, PortfolioConfig, PortfolioResult, SchemeReport, SharedStoreReport,
+    applicable_schemes, run_scheme, run_scheme_in, verify_portfolio, PortfolioConfig,
+    PortfolioResult, SchemeReport, SharedStoreReport,
 };
-pub use scheduler::SchedulePolicy;
 pub use scheme::Scheme;
-pub use telemetry::{PairFeatures, TelemetryStore};

@@ -7,14 +7,14 @@
 //!
 //! * an [applicability predicate](SchemeDescriptor::applicable) over the
 //!   circuit pair,
-//! * static cost features ([`CostProfile`]) and the heuristic launch ranks
-//!   the racing/sequential orders are derived from, and
+//! * the heuristic launch ranks the racing/sequential orders are derived
+//!   from, and
 //! * a [runner](SchemeDescriptor::runner) — a plain function pointer that
 //!   executes the scheme under a budget against an optional shared store.
 //!
 //! The engine is a launcher over registry entries; the
-//! [scheduler](crate::scheduler) decides *which* entries to launch and in
-//! what order. Adding a scheme means adding one descriptor here — no engine
+//! [scheduler](crate::scheduler) orders the applicable entries by their
+//! ranks. Adding a scheme means adding one descriptor here — no engine
 //! changes.
 
 use crate::engine::PortfolioConfig;
@@ -30,9 +30,9 @@ use std::sync::Arc;
 /// One verification scheme the portfolio can launch.
 ///
 /// The enum is the scheme's *identity* — it names the scheme in reports,
-/// JSON and telemetry keys. Everything behavioural (applicability, cost
-/// features, the runner) lives in the scheme's [`SchemeDescriptor`],
-/// obtained via [`Scheme::descriptor`].
+/// JSON and traces. Everything behavioural (applicability, launch ranks,
+/// the runner) lives in the scheme's [`SchemeDescriptor`], obtained via
+/// [`Scheme::descriptor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Scheme {
     /// Miter-based functional equivalence of unitary circuits with the given
@@ -52,11 +52,10 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// Short stable name used in reports, benchmarks and telemetry keys.
+    /// Short stable name used in reports, benchmarks and traces.
     ///
-    /// Every `Scheme` value has a name, registered or not, so reports and
-    /// telemetry keys stay total over whatever a caller asks the engine to
-    /// run.
+    /// Every `Scheme` value has a name, registered or not, so reports stay
+    /// total over whatever a caller asks the engine to run.
     pub fn name(self) -> &'static str {
         match self {
             Scheme::Functional(Strategy::Proportional) => "functional(proportional)",
@@ -118,23 +117,6 @@ pub type SchemeRunner = fn(
     Option<&Arc<SharedStore>>,
 ) -> SchemeOutcome;
 
-/// Static cost features of a scheme, available without any recorded
-/// telemetry. The scheduler uses them to break ties and to reason about
-/// what a scheme *can* conclude.
-#[derive(Debug, Clone, Copy)]
-pub struct CostProfile {
-    /// Whether the scheme can produce a *conclusive* equivalence verdict.
-    /// The simulative check cannot (it only refutes conclusively), so the
-    /// scheduler extends any predicted primary wave that would otherwise
-    /// consist solely of non-proving schemes — alone they could never
-    /// settle an equivalent pair.
-    pub proves_equivalence: bool,
-    /// Relative prior cost on a typical instance (1.0 = a plain miter
-    /// pass). Used only as a deterministic tie-break between schemes with
-    /// identical recorded scores.
-    pub relative_cost: f64,
-}
-
 /// A registry entry: everything the engine and scheduler need to know about
 /// one scheme.
 #[derive(Debug, Clone, Copy)]
@@ -148,8 +130,6 @@ pub struct SchemeDescriptor {
     pub race_rank: u8,
     /// Position in the tiny-instance sequential try order.
     pub sequential_rank: u8,
-    /// Static cost features.
-    pub cost: CostProfile,
     /// The scheme body.
     pub runner: SchemeRunner,
 }
@@ -188,10 +168,6 @@ pub static REGISTRY: [SchemeDescriptor; 7] = [
         applicable: static_pair,
         race_rank: 0,
         sequential_rank: 0,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 1.0,
-        },
         runner: run_functional_proportional,
     },
     SchemeDescriptor {
@@ -199,15 +175,6 @@ pub static REGISTRY: [SchemeDescriptor; 7] = [
         applicable: static_pair,
         race_rank: 1,
         sequential_rank: 1,
-        cost: CostProfile {
-            proves_equivalence: true,
-            // Near-free on insertion-aligned pairs (routing steps), but on a
-            // typical unrelated pair it degrades to a proportional pass plus
-            // pointer bookkeeping — so its *prior* sits just above the plain
-            // proportional schedule; recorded telemetry learns the
-            // insertion-pair advantage per bucket.
-            relative_cost: 1.1,
-        },
         runner: run_functional_aligned,
     },
     SchemeDescriptor {
@@ -215,10 +182,6 @@ pub static REGISTRY: [SchemeDescriptor; 7] = [
         applicable: static_pair,
         race_rank: 2,
         sequential_rank: 2,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 1.2,
-        },
         runner: run_functional_one_to_one,
     },
     SchemeDescriptor {
@@ -226,10 +189,6 @@ pub static REGISTRY: [SchemeDescriptor; 7] = [
         applicable: static_pair,
         race_rank: 3,
         sequential_rank: 3,
-        cost: CostProfile {
-            proves_equivalence: false,
-            relative_cost: 0.8,
-        },
         runner: run_simulative,
     },
     SchemeDescriptor {
@@ -237,10 +196,6 @@ pub static REGISTRY: [SchemeDescriptor; 7] = [
         applicable: dynamic_pair,
         race_rank: 0,
         sequential_rank: 1,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 0.9,
-        },
         runner: run_fixed_input,
     },
     SchemeDescriptor {
@@ -248,10 +203,6 @@ pub static REGISTRY: [SchemeDescriptor; 7] = [
         applicable: dynamic_pair,
         race_rank: 1,
         sequential_rank: 0,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 1.0,
-        },
         runner: run_dynamic_proportional,
     },
     SchemeDescriptor {
@@ -259,10 +210,6 @@ pub static REGISTRY: [SchemeDescriptor; 7] = [
         applicable: dynamic_pair,
         race_rank: 2,
         sequential_rank: 2,
-        cost: CostProfile {
-            proves_equivalence: true,
-            relative_cost: 1.2,
-        },
         runner: run_dynamic_aligned,
     },
 ];

@@ -2,12 +2,11 @@
 //!
 //! The batch driver ([`crate::batch`]) and the `verifyd` daemon are both
 //! thin front-ends over the [`VerificationService`] defined here: a worker
-//! pool plus the long-lived state that makes a *resident* checker worth
-//! running — a continuously-folded [`TelemetryStore`] feeding the
-//! predictive scheduler, and the process-global `obs` observability
-//! substrate (per-request metric deltas, leasable JSONL trace sink).
-//! Decision-diagram stores are not part of that state: every race builds
-//! a fresh one and drops it when the race ends.
+//! pool with admission control, plus the process-global `obs`
+//! observability substrate (per-request metric deltas, leasable JSONL
+//! trace sink). The service keeps no verification state between requests:
+//! every race builds a fresh decision-diagram store and drops it when the
+//! race ends.
 //!
 //! # Lifecycle
 //!
@@ -20,9 +19,7 @@
 //! [`dd::Budget::with_parent_token`]), so a disconnected client's in-flight
 //! race unwinds within a few hundred node allocations and its store is
 //! dropped with it. [`drain`](VerificationService::drain) stops admission,
-//! finishes everything already admitted, joins the workers and hands the
-//! folded telemetry back (saving it crash-safely first when
-//! [`ServiceConfig::stats`] is set).
+//! finishes everything already admitted and joins the workers.
 //!
 //! # Admission control
 //!
@@ -34,8 +31,7 @@
 
 use crate::batch::{failed_pair, strip_side_suffix, PairReport, PairSpec};
 use crate::chain::{self, ChainReport, ChainRequest};
-use crate::engine::verify_portfolio_recorded;
-use crate::telemetry::TelemetryStore;
+use crate::engine::verify_portfolio;
 use crate::PortfolioConfig;
 use circuit::qasm;
 use dd::CancelToken;
@@ -161,11 +157,6 @@ pub struct ServiceConfig {
     /// Admitted requests allowed to *wait* beyond the in-flight ones;
     /// submissions beyond `workers + max_queue` are rejected.
     pub max_queue: usize,
-    /// Persistent telemetry file: loaded at start (missing file = cold
-    /// start; unreadable/malformed = warn, run cold and *never* save over
-    /// it), folded continuously while the service runs, saved back
-    /// crash-safely on [`drain`](VerificationService::drain).
-    pub stats: Option<PathBuf>,
 }
 
 impl Default for ServiceConfig {
@@ -175,7 +166,6 @@ impl Default for ServiceConfig {
             portfolio: batch.portfolio,
             workers: batch.workers,
             max_queue: batch.workers * 4,
-            stats: None,
         }
     }
 }
@@ -451,8 +441,6 @@ pub struct ServiceStats {
     pub inflight: usize,
     /// Whether the service stopped admitting (drain/shutdown).
     pub draining: bool,
-    /// Races recorded into the in-memory telemetry store since start.
-    pub telemetry_races: u64,
     /// Seconds since the service started.
     pub uptime_seconds: f64,
 }
@@ -471,10 +459,6 @@ struct ServiceShared {
     state: Mutex<QueueState>,
     work_ready: Condvar,
     idle: Condvar,
-    telemetry: Mutex<TelemetryStore>,
-    telemetry_base_races: u64,
-    stats_path: Option<PathBuf>,
-    stats_load_failed: bool,
     trace_leased: AtomicBool,
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -494,39 +478,8 @@ pub struct VerificationService {
 }
 
 impl VerificationService {
-    /// Starts the service: loads the persistent telemetry (when
-    /// [`ServiceConfig::stats`] is set) and spawns the worker pool.
+    /// Starts the service: spawns the worker pool.
     pub fn start(config: ServiceConfig) -> VerificationService {
-        let (telemetry, load_failed) = match &config.stats {
-            None => (TelemetryStore::new(), false),
-            Some(path) => match TelemetryStore::load(path) {
-                Ok(store) => (store, false),
-                Err(error) => {
-                    eprintln!(
-                        "warning: cannot load stats file {}: {error}; running cold \
-                         (and never saving over the damaged file)",
-                        path.display()
-                    );
-                    (TelemetryStore::new(), true)
-                }
-            },
-        };
-        Self::start_with(config, telemetry, load_failed)
-    }
-
-    /// [`start`](Self::start) with a caller-provided in-memory telemetry
-    /// store instead of loading from [`ServiceConfig::stats`]. The batch
-    /// front-end uses this to thread its caller's store through a
-    /// short-lived service.
-    pub fn start_seeded(config: ServiceConfig, telemetry: TelemetryStore) -> VerificationService {
-        Self::start_with(config, telemetry, false)
-    }
-
-    fn start_with(
-        config: ServiceConfig,
-        telemetry: TelemetryStore,
-        stats_load_failed: bool,
-    ) -> VerificationService {
         let workers = config.workers.max(1);
         let shared = Arc::new(ServiceShared {
             portfolio: config.portfolio,
@@ -535,10 +488,6 @@ impl VerificationService {
             state: Mutex::new(QueueState::default()),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
-            telemetry_base_races: telemetry.races,
-            telemetry: Mutex::new(telemetry),
-            stats_path: config.stats,
-            stats_load_failed,
             trace_leased: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -643,9 +592,6 @@ impl VerificationService {
             let state = lock(&shared.state);
             (state.queue.len(), state.inflight, state.draining)
         };
-        let telemetry_races = lock(&shared.telemetry)
-            .races
-            .saturating_sub(shared.telemetry_base_races);
         ServiceStats {
             workers: shared.workers,
             capacity: shared.capacity,
@@ -655,7 +601,6 @@ impl VerificationService {
             queue_depth,
             inflight,
             draining,
-            telemetry_races,
             uptime_seconds: shared.started.elapsed().as_secs_f64(),
         }
     }
@@ -709,11 +654,9 @@ impl VerificationService {
         })
     }
 
-    /// Stops admission, finishes every admitted request, joins the workers
-    /// and returns the folded telemetry (after saving it crash-safely to
-    /// [`ServiceConfig::stats`], unless that file had failed to load). A
-    /// second call is a no-op returning an empty store.
-    pub fn drain(&self) -> TelemetryStore {
+    /// Stops admission, finishes every admitted request and joins the
+    /// workers. A second call is a no-op.
+    pub fn drain(&self) {
         {
             let mut state = lock(&self.shared.state);
             state.draining = true;
@@ -723,28 +666,12 @@ impl VerificationService {
         for handle in handles {
             let _ = handle.join();
         }
-        let store = std::mem::take(&mut *lock(&self.shared.telemetry));
-        if let Some(path) = &self.shared.stats_path {
-            if self.shared.stats_load_failed {
-                eprintln!(
-                    "warning: not saving stats to {} — the existing file failed to load and \
-                     saving would overwrite it; repair or remove it first",
-                    path.display()
-                );
-            } else if let Err(error) = store.save(path) {
-                eprintln!(
-                    "warning: cannot save stats file {}: {error}",
-                    path.display()
-                );
-            }
-        }
-        store
     }
 
     /// [`drain`](Self::drain), but cancels everything queued or in flight
     /// first, so the service stops as fast as cooperative cancellation
     /// allows instead of finishing the backlog.
-    pub fn shutdown(&self) -> TelemetryStore {
+    pub fn shutdown(&self) {
         {
             let mut state = lock(&self.shared.state);
             state.draining = true;
@@ -952,7 +879,7 @@ fn execute_inner(
     }
     portfolio.cancel = Some(job.cancel.clone());
 
-    let result = verify_portfolio_recorded(&left, &right, &portfolio, Some(&shared.telemetry));
+    let result = verify_portfolio(&left, &right, &portfolio);
     PairReport::from_result(name, spec.left.clone(), spec.right.clone(), result)
 }
 
@@ -1058,7 +985,7 @@ fn execute_chain_inner(
         displays,
         circuits,
     };
-    chain::run_chain(&parsed, &portfolio, Some(&shared.telemetry))
+    chain::run_chain(&parsed, &portfolio)
 }
 
 /// Renders a folded metrics delta as a JSON object: `counters` (non-zero

@@ -142,7 +142,6 @@ fn unbroken_chain_matches_endpoint_verdict() {
                 shared_package,
                 ..PortfolioConfig::default()
             },
-            ..BatchOptions::default()
         };
         let report = run_batch(&manifest, &options);
         assert_eq!(report.chains_total, 1);

@@ -32,8 +32,7 @@ pub struct ExtractionConfig {
     pub max_leaves: Option<usize>,
     /// Decision-diagram memory sizing for the extraction walker's package
     /// (compute-table bounds and the automatic garbage-collection
-    /// threshold). The portfolio scheduler overrides the GC threshold per
-    /// scheme from recorded peak-node telemetry.
+    /// threshold).
     pub memory: dd::MemoryConfig,
 }
 

@@ -7,11 +7,6 @@ use circuit::{OpKind, Operation, QuantumCircuit};
 use dd::{Complex, DdPackage, VEdge};
 use std::time::{Duration, Instant};
 
-/// Widest register for which [`StateVectorSimulator::fidelity_with`] takes
-/// the dense SoA inner-product path (4096 amplitudes, 128 KiB of lanes per
-/// state); wider states fall back to the DD-walk rebuild.
-const DENSE_FIDELITY_MAX_QUBITS: usize = 12;
-
 /// A Schrödinger-style simulator representing the state as a vector decision
 /// diagram.
 ///
@@ -81,8 +76,8 @@ impl StateVectorSimulator {
 
     /// [`with_budget_in`](Self::with_budget_in) with explicit
     /// [`dd::MemoryConfig`] sizing for the simulator's package — the hook
-    /// through which the portfolio scheduler's per-scheme GC-threshold hints
-    /// reach the simulative check.
+    /// through which a check's [`MemoryConfig`](dd::MemoryConfig) reaches
+    /// the simulative check.
     pub fn with_memory_in(
         n_qubits: usize,
         budget: dd::Budget,
@@ -274,21 +269,6 @@ impl StateVectorSimulator {
     /// Panics if the qubit counts differ.
     pub fn fidelity_with(&mut self, other: &StateVectorSimulator) -> f64 {
         assert_eq!(self.n_qubits, other.n_qubits, "qubit count mismatch");
-        if self.n_qubits <= DENSE_FIDELITY_MAX_QUBITS {
-            // Small registers: expand both states to SoA amplitude lanes and
-            // take the inner product with the batched kernel. No nodes are
-            // re-interned into this package, and both kernel backends reduce
-            // with the same accumulator structure, so the value (and any
-            // verdict derived from it) is backend-independent.
-            let (mut a_re, mut a_im) = (Vec::new(), Vec::new());
-            let (mut b_re, mut b_im) = (Vec::new(), Vec::new());
-            self.package
-                .amplitude_lanes(self.state, &mut a_re, &mut a_im);
-            other
-                .package
-                .amplitude_lanes(other.state, &mut b_re, &mut b_im);
-            return dd::kernels::dot_conj_lanes(&a_re, &a_im, &b_re, &b_im).norm_sqr();
-        }
         // Rebuild the other state in this package via its amplitude decision
         // diagram structure: walk the other's DD and re-intern it here.
         let rebuilt = clone_state_into(&mut self.package, &other.package, other.state);
