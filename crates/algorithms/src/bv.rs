@@ -5,7 +5,7 @@
 //! realization uses one input qubit per bit of `s` plus an ancilla; the
 //! *dynamic* realization re-uses a single working qubit via mid-circuit
 //! measurement and reset, exactly as proposed for IBM's dynamic-circuit
-//! demonstrations (reference [43] of the paper).
+//! demonstrations (reference \[43\] of the paper).
 //!
 //! Both realizations implement the oracle with controlled-Z gates against an
 //! ancilla prepared in |1⟩, so that the static circuit and the

@@ -3,7 +3,7 @@
 //! The static QFT follows the textbook construction without the final qubit
 //! reversal (swap-free form), which is also how the paper's benchmark
 //! instances are counted (`|G| = n(n+1)/2`). The dynamic realization is the
-//! semiclassical Fourier transform of Griffiths & Niu (reference [44] of the
+//! semiclassical Fourier transform of Griffiths & Niu (reference \[44\] of the
 //! paper): a single working qubit, measured and reset once per output bit,
 //! with the controlled rotations replaced by classically-controlled phases.
 

@@ -3,7 +3,7 @@
 //! The running example of the paper: estimate the phase θ of the unitary
 //! `U = P(φ)` (with `φ = 2πθ`) for the eigenstate |1⟩, to `m` fractional
 //! bits. The static realization uses `m` counting qubits plus one eigenstate
-//! qubit; the iterative realization (IQPE, reference [29] of the paper) uses
+//! qubit; the iterative realization (IQPE, reference \[29\] of the paper) uses
 //! a single re-used working qubit plus the eigenstate qubit.
 
 use circuit::QuantumCircuit;

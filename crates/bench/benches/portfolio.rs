@@ -157,16 +157,13 @@ fn bench_shared_vs_private(c: &mut Criterion) {
              {shared_secs:.6}, \"private_secs\": {private_secs:.6}, \"speedup\": {:.4}, \
              \"cross_thread_hit_rate\": {:.6}, \"cross_thread_hits\": {}, \
              \"shared_peak_nodes\": {}, \"shared_allocated_nodes\": {}, \
-             \"shard_contention_seconds\": {:.6}, \"epoch_pins\": {}, \
-             \"retired_generations\": {}, \"winner\": \"{}\" }}",
+             \"shard_contention_seconds\": {:.6}, \"winner\": \"{}\" }}",
             private_secs / shared_secs,
             store.cross_thread_hit_rate,
             store.cross_thread_hits,
             store.peak_nodes,
             store.allocated_nodes,
             store.shard_contention_seconds,
-            store.epoch_pins,
-            store.retired_generations,
             instrumented.winner.map(|s| s.name()).unwrap_or("-"),
         ));
     }
@@ -184,8 +181,9 @@ fn bench_shared_vs_private(c: &mut Criterion) {
              invisible here, so low rates do not mean no sharing",
             "shared_peak_nodes is the peak of the race's own store, which holds every racing \
              scheme's structure at once: it is not one scheme's miter size",
-            "contention and epoch counters come from the single instrumented run, not the \
-             timed min-of-7 — one barrier landing differently can move them",
+            "the hit rate, hit count, node counts and contention come from the single \
+             instrumented run, not the timed min-of-7 — a different winner, or losers \
+             cancelled at a different point, moves them",
         ],
         &[("instances", format!("[\n{}\n  ]", rows.join(",\n")))],
     );

@@ -53,10 +53,10 @@ fn shared_racing_smoke(_c: &mut Criterion) {
         private.as_secs_f64() * 1e3,
         private.as_secs_f64() / shared.as_secs_f64(),
     );
-    // 1.1x + constant slack: epoch-snapshot reads took the per-read lock
-    // traffic out of the shared path, so even this sub-millisecond race is
-    // held to near-parity (the 50ms floor still absorbs thread-spawn and
-    // scheduler jitter on a loaded CI host).
+    // 1.1x + constant slack: mirrored reads keep per-read lock traffic out
+    // of the shared path, so even this sub-millisecond race is held to
+    // near-parity (the 50ms floor still absorbs thread-spawn and scheduler
+    // jitter on a loaded CI host).
     assert!(
         shared <= private + private / 10 + Duration::from_millis(50),
         "shared-store racing regressed vs private packages: \

@@ -70,17 +70,13 @@
 //!   same `(weight, children)` gets the *same* canonical edge, so racing
 //!   schemes turn duplicated construction into cross-thread cache hits
 //!   ([`MemoryStats::cross_thread_hits`]).
-//! * **Epoch-snapshot reads:** every completed collection publishes an
-//!   immutable [`Generation`](store) — an `Arc`-shared copy of the node
-//!   arenas and complex lanes — and each workspace *pins* the current
-//!   generation when it attaches and re-pins after every collection it
-//!   crosses. Reads of pre-snapshot structure go straight to the pinned
-//!   copy with no lock and no atomic; only post-snapshot tail slots fall
-//!   back to a bulk fetch under the arena read lock. A superseded
-//!   generation is not reclaimed until its last reader re-pins (deferred
-//!   reclamation — `dd.store.retired_generations` vs
-//!   `dd.store.deferred_reclaim_bytes` below), so a pinned read can never
-//!   observe a recycled slot.
+//! * **Mirrored reads:** each workspace keeps one mirror of the node
+//!   arenas and the weight slots. A read the mirror holds takes no lock; a
+//!   miss refills the mirror in bulk under the arena read lock, and the
+//!   workspace's own node interns grow it. A mirrored free-slot sentinel
+//!   sends the read back to the arena, since the slot may have been
+//!   recycled after the refill; a slot recycles at most once between
+//!   collections, so a live mirrored entry stays valid until the next one.
 //! * **Thread-local (in each workspace):** the lossy compute caches (they
 //!   are overwrite-on-collision, so thread-local is correct and lock-free),
 //!   the identity cache (canonical interning makes independently built
@@ -96,18 +92,18 @@
 //!   edges, in-flight operands, identity and gate caches. Once all other
 //!   attachments are parked (or detached), the collector sweeps from every
 //!   published root set plus the shared gate cache, rebuilds the sharded
-//!   unique tables, compacts the complex table and publishes a fresh
-//!   generation before releasing the barrier; everyone then re-pins and
-//!   clears only the node-keyed memos. The weight-keyed memos *survive*
-//!   the sweep: their complex indices are published as GC roots, and
-//!   compaction keeps marked indices stable. Protected edges keep their
-//!   node ids, so parked diagrams stay pointer-identical across the swap.
+//!   unique tables and compacts the complex table before releasing the
+//!   barrier. The collector and every parked workspace then drop their
+//!   mirrors, their weight memos and their node-keyed compute caches: the
+//!   sweep may have freed any slot those hold, and later interns recycle
+//!   freed slots under the same indices. Protected edges keep their node
+//!   ids, so parked diagrams stay pointer-identical across the collection.
 //!   An attachment that never reaches a safe point (idle, or one very long
 //!   operation) makes the collector give up after a bounded patience and
 //!   fall back to deferring collection — which is why a thread should hold
 //!   at most one attached workspace at a time: a second one can never park
-//!   while its sibling runs. Workspaces attached later pin the current
-//!   generation and can never see a stale slot.
+//!   while its sibling runs. Workspaces attached later start with empty
+//!   mirrors and memos, so they can never see a stale slot.
 //! * **One store per race:** the portfolio creates a fresh store for each
 //!   race and drops it with the race, so nothing carries over between
 //!   circuit pairs and a store's stats are its race's own.
@@ -140,17 +136,13 @@
 //! | `dd.gc.barrier_wait_ns` | nanos | sums across threads, so it can exceed wall-clock time |
 //! | `dd.ctab.compacted` | count | entries, not bytes; rehashing survivors is not counted |
 //! | `dd.store.shard_waits` / `shard_contention_ns` | count / nanos | timed only on the blocking path; uncontended acquisitions report zero |
-//! | `dd.store.epoch_pins` | count | one pin per attach plus one per collection crossed; a high count means frequent GC, not expensive reads — pinning is an `Arc` clone |
-//! | `dd.store.retired_generations` | count | equals completed shared collections; retirement is not reclamation — a pinned generation lives on until its last reader moves |
-//! | `dd.store.deferred_reclaim_bytes` | count | a running total of bytes that *entered* deferral, never decremented when freed; it bounds transient overhead, not live memory |
 //! | `dd.gates.twiddle_hits` | count | only cold gate-DD builds reach this path — the gate cache absorbs repeats first |
 //!
 //! Trace events: `gc.private`, `gc.sole`, `gc.barrier` (a span whose end
 //! records `outcome` collected/deferred), `gc.barrier.parked`,
 //! `gc.barrier.sweep` and per-workspace `gc.park` events with park
 //! durations. Contention counters (`SharedStoreStats::shard_lock_waits`,
-//! `shard_contention_ns`, `barrier_wait_ns`, `barrier_deferrals`,
-//! `epoch_pins`, `retired_generations`, `deferred_reclaim_bytes`) are
+//! `shard_contention_ns`, `barrier_wait_ns`, `barrier_deferrals`) are
 //! always on and reported per race through the portfolio's shared-store
 //! report.
 //!

@@ -53,10 +53,10 @@ enum SharedGcOutcome {
 /// RAII scope of one barrier-GC round: raises `gc_requested` on `begin` and
 /// guarantees the round is closed on *every* exit path — via
 /// [`complete`](Self::complete) after a successful sweep (bumps the
-/// generation so parked workspaces re-pin the freshly published snapshot),
-/// or via `Drop` on abort and on collector panic (no generation bump; parked
-/// workspaces resume on their existing pin instead of waiting forever on a
-/// dead round).
+/// collection count so parked workspaces drop their mirrors and memos), or
+/// via `Drop` on abort and on collector panic (no bump; nothing was freed,
+/// so parked workspaces resume with their mirrors and memos intact instead
+/// of waiting forever on a dead round).
 struct BarrierRound<'a> {
     store: &'a crate::store::SharedStore,
     completed: bool,
@@ -75,11 +75,10 @@ impl<'a> BarrierRound<'a> {
     }
 
     /// Closes the round after a successful sweep: parked workspaces wake,
-    /// see the generation advance and re-pin the new snapshot (their memos
-    /// survive — the sweep marked their weight roots).
+    /// see the collection count advance and drop their mirrors and memos.
     fn complete(mut self) {
         let mut barrier = crate::store::lock(&self.store.barrier);
-        barrier.generation += 1;
+        barrier.collections += 1;
         self.completed = true;
         self.store.gc_requested.store(false, Ordering::Release);
         self.store.barrier_cv.notify_all();
@@ -456,16 +455,10 @@ impl DdPackage {
         package
     }
 
-    /// Creates either a workspace attached to `store` or a private package:
-    /// the one-liner the verification schemes use to honour an optional
-    /// shared store without duplicating construction logic.
-    pub fn with_store(store: Option<&Arc<SharedStore>>, n_qubits: usize, budget: Budget) -> Self {
-        DdPackage::with_store_config(store, n_qubits, budget, MemoryConfig::default())
-    }
-
-    /// [`with_store`](Self::with_store) with explicit [`MemoryConfig`]
-    /// sizing: the verification schemes use this to size their packages
-    /// from the check's configuration instead of the static default.
+    /// Creates either a workspace attached to `store` or a private package,
+    /// sized by `config`: the one-liner the verification schemes use to
+    /// honour an optional shared store without duplicating construction
+    /// logic.
     pub fn with_store_config(
         store: Option<&Arc<SharedStore>>,
         n_qubits: usize,
@@ -476,11 +469,6 @@ impl DdPackage {
             Some(store) => store.workspace_with(n_qubits, budget, config),
             None => DdPackage::with_config(n_qubits, budget, config),
         }
-    }
-
-    /// The shared store this package is attached to, if any.
-    pub fn shared_store(&self) -> Option<&Arc<SharedStore>> {
-        self.shared.as_ref().map(|handle| &handle.store)
     }
 
     /// Number of qubits this package was created for.
@@ -514,11 +502,11 @@ impl DdPackage {
     /// nodes *this workspace* allocated (store misses it paid for), not the
     /// store-wide live count — budgets keep their per-scheme meaning in a
     /// race, and reusing a node another scheme interned costs nothing; that
-    /// reuse is the point of sharing. While collection is deferred (other
-    /// workspaces attached) nothing is reclaimed, so the charge is also the
-    /// scheme's true live contribution to the store; after a
-    /// sole-attachment collection the charge re-snaps to the store's live
-    /// count, mirroring how a private package's live meter shrinks under GC.
+    /// reuse is the point of sharing. Collections shrink the charge the way
+    /// a private package's live meter shrinks under GC: a barrier collection
+    /// clamps it to the store's live count (the survivors are shared between
+    /// the racers, so they are not re-attributed), and a sole-attachment
+    /// collection re-snaps it to that count.
     #[inline]
     fn charge_allocation(&mut self) {
         if self.exceeded.is_some() {
@@ -959,9 +947,8 @@ impl DdPackage {
 
     /// Parks this workspace at the store's GC barrier: publishes its roots
     /// (protected edges, the in-flight operands, the identity and local
-    /// gate caches, the memo-table weight indices) and blocks until the
-    /// collector releases the barrier, then re-pins whatever generation a
-    /// completed collection published.
+    /// gate caches) and blocks until the collector releases the barrier,
+    /// then drops its mirrors and memos if the round collected.
     fn park_for_barrier(&mut self, keep_vectors: &[VEdge], keep_matrices: &[MEdge]) {
         let store = Arc::clone(&self.shared.as_ref().expect("shared workspace").store);
         let roots = self.published_roots(keep_vectors, keep_matrices);
@@ -971,7 +958,7 @@ impl DdPackage {
         }
         let park_start = Instant::now();
         let request = barrier.request;
-        let generation = barrier.generation;
+        let collections = barrier.collections;
         barrier.published.push(roots);
         store.barrier_cv.notify_all();
         while barrier.request == request && store.gc_requested.load(Ordering::Acquire) {
@@ -980,7 +967,7 @@ impl DdPackage {
                 .wait(barrier)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        let collected = barrier.generation != generation;
+        let collected = barrier.collections != collections;
         drop(barrier);
         let parked_ns = park_start.elapsed().as_nanos() as u64;
         store
@@ -995,13 +982,15 @@ impl DdPackage {
             ],
         );
         if collected {
-            // A new generation was published: re-pin it (dropping the epoch
-            // tails/overlays — the weight memos survive, their roots were
-            // marked) and clear the node-keyed caches, whose NodeId keys may
-            // be recycled from now on. Protected edges kept their ids, so
-            // held diagrams stay valid and pointer-identical.
+            // The sweep freed slots that later interns may recycle under the
+            // same indices: drop every cache keyed by or holding a node id or
+            // weight index. Protected edges kept their ids, so held diagrams
+            // stay valid and pointer-identical.
             self.clear_node_keyed_caches();
-            self.shared.as_mut().expect("shared workspace").repin();
+            self.shared
+                .as_mut()
+                .expect("shared workspace")
+                .clear_mirrors();
             self.charged_nodes = self.charged_nodes.min(store.live_nodes());
         }
     }
@@ -1019,16 +1008,10 @@ impl DdPackage {
             .chain(self.gate_cache.entries().map(|(_, e)| *e))
             .filter(|e| !e.is_zero())
             .collect();
-        // The weight memos survive collections, so every index they
-        // reference must stay live (and index-stable) across the sweep.
-        let mut wroots: Vec<u32> = self.wroots.keys().copied().collect();
-        if let Some(handle) = &self.shared {
-            wroots.extend(handle.memo_weight_roots());
-        }
         crate::store::PublishedRoots {
             vroots: self.vroots.keys().copied().collect(),
             mroots: self.mroots.keys().copied().collect(),
-            wroots,
+            wroots: self.wroots.keys().copied().collect(),
             vedges: keep_vectors
                 .iter()
                 .copied()
@@ -1174,12 +1157,6 @@ impl DdPackage {
         let compacted = store.ctab.retain_marked(&cmark) as u64;
         self.complex_reclaimed += compacted;
         obs::metrics::add(obs::metrics::DD_CTAB_COMPACTED, compacted);
-
-        // --- publish the post-sweep generation snapshot ---------------
-        // Both arena write locks are still held and the table was just
-        // compacted, so the snapshot is consistent by construction; parked
-        // workspaces re-pin it when the barrier releases.
-        store.publish_generation(&varena, &marena);
         reclaimed
     }
 
@@ -1190,10 +1167,12 @@ impl DdPackage {
             .fetch_add(reclaimed as u64, Ordering::Relaxed);
         store.gc_runs.fetch_add(1, Ordering::Relaxed);
         // Freed slots may be recycled under the same ids from now on: clear
-        // the node-keyed caches and re-pin the just-published generation
-        // (the weight memos survive — the sweep marked their roots).
+        // the node-keyed caches, the mirrors and the weight memos.
         self.clear_node_keyed_caches();
-        self.shared.as_mut().expect("shared workspace").repin();
+        self.shared
+            .as_mut()
+            .expect("shared workspace")
+            .clear_mirrors();
         // Re-snap the node-budget meter, mirroring how a private package's
         // live meter shrinks under GC: a sole survivor owns everything still
         // live; after a barrier sweep the survivors are shared between the
@@ -3211,12 +3190,12 @@ mod tests {
     fn abandoned_barrier_round_lowers_the_flag_and_moves_on() {
         // Dropping the round guard without completing it (the abort path,
         // and what a panic unwind does) must lower `gc_requested` and
-        // advance the request id without touching the generation; a
-        // completed round advances the generation instead.
+        // advance the request id without touching the collection count; a
+        // completed round advances the collection count instead.
         let store = SharedStore::new();
-        let (request_before, generation_before) = {
+        let (request_before, collections_before) = {
             let barrier = crate::store::lock(&store.barrier);
-            (barrier.request, barrier.generation)
+            (barrier.request, barrier.collections)
         };
         let round = BarrierRound::begin(&store);
         assert!(store.gc_requested.load(Ordering::Acquire));
@@ -3227,13 +3206,13 @@ mod tests {
             // begin() opened request N+1; the abandonment bumped it again
             // so a workspace parked on N+1 stops waiting.
             assert_eq!(barrier.request, request_before + 2);
-            assert_eq!(barrier.generation, generation_before);
+            assert_eq!(barrier.collections, collections_before);
         }
         let round = BarrierRound::begin(&store);
         round.complete();
         let barrier = crate::store::lock(&store.barrier);
         assert!(!store.gc_requested.load(Ordering::Acquire));
-        assert_eq!(barrier.generation, generation_before + 1);
+        assert_eq!(barrier.collections, collections_before + 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Thread-safe shared decision-diagram core for portfolio racing.
 //!
 //! A [`SharedStore`] is the *canonicity-preserving* half of a
-//! [`DdPackage`](crate::DdPackage) split out so that several packages — one
-//! per racing thread — can intern into the same node space. It owns
+//! [`DdPackage`] split out so that several packages — one per racing
+//! thread — can intern into the same node space. It owns
 //!
-//! * the canonical [`SharedComplexTable`]: the SoA weight lanes behind a
+//! * the canonical shared complex table: the weight slots behind a
 //!   reader/writer lock plus bucket maps striped by bucket-key range into
 //!   [`CSTRIPES`] independently locked maps, so concurrent weight interns
 //!   from different value ranges never serialise on one global mutex,
@@ -12,42 +12,29 @@
 //!   [`SHARDS`] independently locked maps,
 //! * the node arenas behind reader/writer locks (writers append on
 //!   interning misses; slots are only recycled behind the GC barrier),
-//! * the immutable **generation snapshot** (an `Arc`-swapped copy of the
-//!   arenas and weight lanes, republished by every collection) that
-//!   workspaces pin for lock-free reads,
 //! * the shared gate-diagram cache (an L2 behind every workspace's lossy L1),
 //! * the free lists, the GC barrier and telemetry counters.
 //!
 //! The per-thread half stays inside `DdPackage`: lossy compute caches (they
 //! are overwrite-on-collision, so thread-local is both correct and
 //! lock-free), `Budget`/`CancelToken`, protection roots and `MemoryStats`.
-//! [`SharedHandle`] is the glue a package holds when attached.
+//! The package holds a private handle per attachment as the glue.
 //!
-//! # Epoch-snapshot reads
+//! # Mirrored reads
 //!
-//! Every collection publishes a new [`Generation`]: an immutable copy of the
-//! node arenas and the complex-table lanes taken while the world is stopped.
-//! A workspace **pins** the current generation when it attaches and re-pins
-//! at the safe point after every collection it participates in. Between safe
-//! points all reads of structure that predates the pin go straight to the
-//! pinned snapshot — no lock, no `RefCell`, no invalidation. Structure
-//! *newer* than the pin (the arena/lane tails grown this epoch, plus
-//! free-list slots recycled this epoch) is read through small per-workspace
-//! tail mirrors and overlay maps that refill from the shared structures
-//! under the arena read locks; they cover only the epoch's growth, not the
-//! whole store.
+//! Each workspace keeps one mirror of the two node arenas and of the weight
+//! slots. A read of a slot the mirror holds takes no lock. A miss refills
+//! the mirror in bulk under the arena read lock, and the workspace's own
+//! node interns grow it directly. A slot on a free list is mirrored as its
+//! sentinel (a `FREE` node or a NaN weight), and a read that meets a
+//! sentinel goes back to the arena: the slot may have been recycled since
+//! the refill. A slot recycles at most once between collections, so a
+//! mirrored live entry stays valid until the next collection.
 //!
-//! Because a re-pin swaps the snapshot instead of wiping local state, the
-//! weight-arithmetic memos **survive collections**. Their weight indices are
-//! published as GC roots (see `memo_weight_roots`), and
-//! [`retain_marked`](SharedComplexTable::retain_marked) keeps marked indices
-//! stable, so surviving memo entries remain exact.
-//!
-//! Retired generations are reclaimed *deferredly*: the `Arc` swap drops the
-//! store's reference, and the memory is freed when the last workspace still
-//! pinning the old generation re-pins or detaches. The `epoch_pins`,
-//! `retired_generations` and `deferred_reclaim_bytes` counters make that
-//! lifecycle observable.
+//! A collection frees and later recycles slots under the same indices, so
+//! every workspace drops its mirrors together with its weight-arithmetic
+//! memos at every collection it crosses, as collector or parked. The memos
+//! hold weight indices that the sweep did not mark and may have freed.
 //!
 //! # Canonicity across threads
 //!
@@ -64,7 +51,7 @@
 //! bucket row apart, hence each interner's locked window covers the other's
 //! home stripe: concurrent interns of mergeable values serialise on that
 //! common stripe, and whichever runs second finds the first's entry in its
-//! probe. Every workspace intern goes through [`SharedComplexTable::intern`].
+//! probe. Every workspace intern goes through the table's one `intern`.
 //!
 //! # Garbage collection: the safe-point barrier
 //!
@@ -73,31 +60,29 @@
 //! sole workspace remained, which let miter-heavy races outgrow memory):
 //!
 //! 1. A workspace whose GC threshold trips elects itself the collector by
-//!    `try_lock`ing [`SharedStore::gc_lock`] (never blocking — a blocked
+//!    `try_lock`ing the store's `gc_lock` (never blocking — a blocked
 //!    election would deadlock against a collector waiting for parkers). It
 //!    raises `gc_requested` and waits.
 //! 2. Every other attached workspace polls `gc_requested` at its operation
 //!    safe points (the entries of `apply`/`mul`/`add`/`transpose`, the same
 //!    places automatic collection triggers) and **parks**: it publishes its
 //!    roots — protected edges, in-flight operands, identity and local gate
-//!    caches, and its memo-table weight indices — into the store's barrier
-//!    state and blocks.
+//!    caches — into the store's barrier state and blocks.
 //! 3. Once all other attachments are parked (detaching also counts — a
 //!    finished scheme's workspace simply leaves), the collector sweeps from
 //!    *all* published roots plus its own plus the shared gate cache,
-//!    rebuilds the sharded unique tables, compacts the
-//!    [`SharedComplexTable`] and **publishes a fresh generation snapshot**
-//!    before releasing the barrier. Parked workspaces wake, re-pin the new
-//!    generation (dropping their epoch tails and overlays — their memos
-//!    survive) and continue; protected edges keep their node ids, so parked
-//!    diagrams stay pointer-identical across the collection.
+//!    rebuilds the sharded unique tables, compacts the shared complex table
+//!    and releases the barrier. The collector and the parked workspaces drop
+//!    their mirrors, weight memos and node-keyed compute caches, and
+//!    continue; protected edges keep their node ids, so parked diagrams stay
+//!    pointer-identical across the collection.
 //!
 //! An attached workspace that never reaches a safe point (idle, or stuck in
 //! one very long operation) would stall the world, so the collector gives up
 //! after a bounded patience and falls back to the old deferral semantics
 //! (nothing is reclaimed, the caller's threshold backs off). Attachment
-//! takes `gc_lock` too, so no workspace can appear mid-sweep; workspaces
-//! attaching later pin the freshly published generation and can never
+//! takes `gc_lock` too, so no workspace can appear mid-sweep; a workspace
+//! attaching later starts with empty mirrors and memos, so it can never
 //! observe a stale slot.
 //!
 //! # Lifetime
@@ -222,38 +207,6 @@ fn write_timed<'a, T>(
 }
 
 // ----------------------------------------------------------------------
-// Generation snapshots
-// ----------------------------------------------------------------------
-
-/// An immutable snapshot of the shared structures, published by every
-/// collection and pinned by workspaces for lock-free reads.
-///
-/// Slots freed at publish time carry their sentinels (`FREE` nodes, NaN
-/// weights) so a pinned reader can detect intra-epoch recycling and fall
-/// back to the live structures.
-#[derive(Debug)]
-pub(crate) struct Generation {
-    /// Monotonic snapshot number (0 is the empty store).
-    pub(crate) number: u64,
-    pub(crate) vnodes: Vec<VNode>,
-    pub(crate) mnodes: Vec<MNode>,
-    /// Real lane of the complex table at publish time.
-    pub(crate) cre: Vec<f64>,
-    /// Imaginary lane of the complex table at publish time.
-    pub(crate) cim: Vec<f64>,
-}
-
-impl Generation {
-    /// Approximate heap footprint, for the deferred-reclaim gauge.
-    fn bytes(&self) -> u64 {
-        (self.vnodes.capacity() * std::mem::size_of::<VNode>()
-            + self.mnodes.capacity() * std::mem::size_of::<MNode>()
-            + (self.cre.capacity() + self.cim.capacity()) * std::mem::size_of::<f64>())
-            as u64
-    }
-}
-
-// ----------------------------------------------------------------------
 // Striped shared complex table
 // ----------------------------------------------------------------------
 
@@ -263,15 +216,6 @@ impl Generation {
 const BUCKET: f64 = TOLERANCE;
 
 type Buckets = FxHashMap<(i64, i64), Vec<u32>>;
-
-/// SoA value lanes of the shared complex table (guarded by one `RwLock`:
-/// readers are tail refills, snapshot clones and probes, writers are
-/// inserts).
-#[derive(Debug, Default)]
-struct Lanes {
-    re: Vec<f64>,
-    im: Vec<f64>,
-}
 
 /// The shared, striped canonical complex table.
 ///
@@ -284,7 +228,9 @@ struct Lanes {
 #[derive(Debug)]
 pub(crate) struct SharedComplexTable {
     stripes: Vec<Mutex<Buckets>>,
-    lanes: RwLock<Lanes>,
+    /// The value slots. Readers are mirror refills and probes, writers are
+    /// inserts and compaction.
+    pub(crate) values: RwLock<Vec<Complex>>,
     /// Slots freed by [`retain_marked`](Self::retain_marked), recycled by
     /// later interns. Freed slots hold a NaN sentinel and are absent from
     /// the buckets, so probes can never resolve to them.
@@ -357,10 +303,7 @@ impl SharedComplexTable {
             stripes: (0..CSTRIPES)
                 .map(|_| Mutex::new(Buckets::default()))
                 .collect(),
-            lanes: RwLock::new(Lanes {
-                re: vec![0.0, 1.0],
-                im: vec![0.0, 0.0],
-            }),
+            values: RwLock::new(vec![Complex::ZERO, Complex::ONE]),
             free: Mutex::new(Vec::new()),
         };
         for (idx, value) in [Complex::ZERO, Complex::ONE].into_iter().enumerate() {
@@ -375,38 +318,15 @@ impl SharedComplexTable {
 
     /// Number of value slots (live entries plus compaction-freed slots).
     pub(crate) fn len(&self) -> usize {
-        read(&self.lanes).re.len()
+        read(&self.values).len()
     }
 
     /// Number of *live* interned values (slots minus freed slots).
     ///
-    /// Lock order: `free` before `lanes`, matching [`intern`](Self::intern).
+    /// Lock order: `free` before `values`, matching [`intern`](Self::intern).
     pub(crate) fn live_len(&self) -> usize {
         let freed = lock(&self.free).len();
-        read(&self.lanes).re.len() - freed
-    }
-
-    /// The raw value in slot `i` (freed slots hold a NaN sentinel).
-    pub(crate) fn slot(&self, i: usize) -> Complex {
-        let lanes = read(&self.lanes);
-        Complex::new(lanes.re[i], lanes.im[i])
-    }
-
-    /// Appends every slot past `base + tail.len()` to `tail`, re-interleaving
-    /// the SoA lanes into the tail mirror's AoS layout in one pass.
-    pub(crate) fn extend_tail(&self, base: usize, tail: &mut Vec<Complex>) {
-        let lanes = read(&self.lanes);
-        let from = base + tail.len();
-        tail.reserve(lanes.re.len().saturating_sub(from));
-        for i in from..lanes.re.len() {
-            tail.push(Complex::new(lanes.re[i], lanes.im[i]));
-        }
-    }
-
-    /// Clones the SoA lanes for a generation snapshot.
-    pub(crate) fn clone_lanes(&self) -> (Vec<f64>, Vec<f64>) {
-        let lanes = read(&self.lanes);
-        (lanes.re.clone(), lanes.im.clone())
+        read(&self.values).len() - freed
     }
 
     /// Interns one weight value, returning its canonical index. This is the
@@ -422,19 +342,18 @@ impl SharedComplexTable {
         }
         let (kr, ki) = bucket_key(value);
         let mut window = ProbeWindow::lock(&self.stripes, kr, waits, contention_ns);
-        // Probe under the lanes *read* lock. The held stripes pin every probe
-        // row, so a miss here stays a miss until the insert below — and a
-        // value that exists already (the common case once the table is warm)
-        // never serializes readers behind the lanes write lock at all.
+        // Probe under the values *read* lock. The held stripes pin every
+        // probe row, so a miss here stays a miss until the insert below — and
+        // a value that exists already (the common case once the table is
+        // warm) never serializes readers behind the values write lock at all.
         {
-            let lanes = read_timed(&self.lanes, waits, contention_ns);
+            let values = read_timed(&self.values, waits, contention_ns);
             for dr in -1..=1 {
                 let row = window.row(dr);
                 for di in -1..=1 {
                     if let Some(candidates) = row.get(&(kr + dr, ki + di)) {
                         for &idx in candidates {
-                            let slot = Complex::new(lanes.re[idx as usize], lanes.im[idx as usize]);
-                            if slot.approx_eq(value) {
+                            if values[idx as usize].approx_eq(value) {
                                 return CIdx(idx);
                             }
                         }
@@ -445,18 +364,15 @@ impl SharedComplexTable {
         // Same insertion behaviour as the private table's `lookup`, so shared
         // and private packages canonicalise identically.
         let mut free = lock_timed(&self.free, waits, contention_ns);
-        let mut lanes = write_timed(&self.lanes, waits, contention_ns);
+        let mut values = write_timed(&self.values, waits, contention_ns);
         let idx = match free.pop() {
             Some(slot) => {
-                lanes.re[slot as usize] = value.re;
-                lanes.im[slot as usize] = value.im;
+                values[slot as usize] = value;
                 slot
             }
             None => {
-                let idx = lanes.re.len() as u32;
-                lanes.re.push(value.re);
-                lanes.im.push(value.im);
-                idx
+                values.push(value);
+                (values.len() - 1) as u32
             }
         };
         window.row(0).entry((kr, ki)).or_default().push(idx);
@@ -474,21 +390,20 @@ impl SharedComplexTable {
             stripe.clear();
         }
         let mut free = lock(&self.free);
-        let mut lanes = write(&self.lanes);
+        let mut values = write(&self.values);
         let mut freed = 0;
-        for idx in 0..lanes.re.len() {
-            let keep = idx <= 1 || marked.get(idx).copied().unwrap_or(false);
-            if keep {
-                if !lanes.re[idx].is_nan() {
-                    let (kr, ki) = bucket_key(Complex::new(lanes.re[idx], lanes.im[idx]));
-                    guards[stripe_of(kr)]
-                        .entry((kr, ki))
-                        .or_default()
-                        .push(idx as u32);
-                }
-            } else if !lanes.re[idx].is_nan() {
-                lanes.re[idx] = f64::NAN;
-                lanes.im[idx] = f64::NAN;
+        for (idx, value) in values.iter_mut().enumerate() {
+            if value.re.is_nan() {
+                continue;
+            }
+            if idx <= 1 || marked.get(idx).copied().unwrap_or(false) {
+                let (kr, ki) = bucket_key(*value);
+                guards[stripe_of(kr)]
+                    .entry((kr, ki))
+                    .or_default()
+                    .push(idx as u32);
+            } else {
+                *value = Complex::new(f64::NAN, f64::NAN);
                 free.push(idx as u32);
                 freed += 1;
             }
@@ -507,8 +422,7 @@ pub(crate) struct Interned {
 
 /// Roots one parked workspace publishes into the barrier so the collector
 /// can mark on its behalf: protected node ids and weight indices, in-flight
-/// operand edges, the workspace's identity/gate-cache edges, and the weight
-/// indices its surviving memo tables reference.
+/// operand edges and the workspace's identity/gate-cache edges.
 #[derive(Debug, Default)]
 pub(crate) struct PublishedRoots {
     pub(crate) vroots: Vec<u32>,
@@ -526,8 +440,8 @@ pub(crate) struct BarrierState {
     /// detect that the round they joined ended (however it ended).
     pub(crate) request: u64,
     /// Monotonic count of *completed* collections; a parked workspace whose
-    /// round advanced this re-pins the published generation on release.
-    pub(crate) generation: u64,
+    /// round advanced this drops its mirrors and memos on release.
+    pub(crate) collections: u64,
     /// Roots of the workspaces parked in the current round (one entry per
     /// parked workspace — its length is the authoritative parked count).
     pub(crate) published: Vec<PublishedRoots>,
@@ -563,24 +477,13 @@ pub struct SharedStoreStats {
     /// workspace — the cross-thread sharing the store exists for.
     pub cross_thread_hits: u64,
     /// Hot-path lock acquisitions (unique-table shards, shared gate cache,
-    /// complex-table stripes and lanes) that found the lock held and had to
+    /// complex-table stripes and values) that found the lock held and had to
     /// block.
     pub shard_lock_waits: u64,
     /// Total time spent blocked in those acquisitions, in nanoseconds.
     /// Measured only on the blocking path: uncontended acquisitions
     /// contribute zero.
     pub shard_contention_ns: u64,
-    /// Times any workspace pinned a generation snapshot (one per attachment
-    /// plus one per collection it crossed).
-    pub epoch_pins: u64,
-    /// Generation snapshots retired by collections publishing a successor.
-    pub retired_generations: u64,
-    /// Bytes of retired generations whose reclamation was deferred because
-    /// some workspace still pinned them at publish time (a running gauge of
-    /// the snapshot scheme's transient memory cost, not a live balance:
-    /// deferred bytes are freed when the last pin moves on, but never
-    /// subtracted here).
-    pub deferred_reclaim_bytes: u64,
     /// Time threads spent stopped at GC barriers, in nanoseconds: parked
     /// workspaces' park durations plus the collector's wait for the world
     /// to park. Sums *across* threads, so it can exceed wall-clock time.
@@ -640,15 +543,11 @@ pub struct SharedStore {
     pub(crate) marena: RwLock<Vec<MNode>>,
     pub(crate) vfree: Mutex<Vec<u32>>,
     pub(crate) mfree: Mutex<Vec<u32>>,
-    /// The current generation snapshot (see the module docs). Swapped by
-    /// [`publish_generation`](Self::publish_generation) behind the GC
-    /// barrier; read by attaching and re-pinning workspaces.
-    pub(crate) snapshot: Mutex<Arc<Generation>>,
     /// Shared gate-diagram cache (L2 behind each workspace's lossy L1).
     pub(crate) gate_cache: Mutex<FxHashMap<GateKey, (MEdge, u32)>>,
     /// Serialises attachment against collection and elects the collector:
     /// the collector holds it for the whole barrier round, so no workspace
-    /// can appear (or pin a mid-sweep snapshot) mid-collection. Collection
+    /// can appear mid-collection. Collection
     /// candidates only ever `try_lock` it — blocking here while another
     /// collector waits for the world to park would deadlock.
     pub(crate) gc_lock: Mutex<()>,
@@ -670,9 +569,6 @@ pub struct SharedStore {
     pub(crate) cross_thread_hits: AtomicU64,
     pub(crate) shard_lock_waits: AtomicU64,
     pub(crate) shard_contention_ns: AtomicU64,
-    pub(crate) epoch_pins: AtomicU64,
-    pub(crate) retired_generations: AtomicU64,
-    pub(crate) deferred_reclaim_bytes: AtomicU64,
     pub(crate) barrier_wait_ns: AtomicU64,
     pub(crate) barrier_deferrals: AtomicUsize,
 }
@@ -693,13 +589,6 @@ impl SharedStore {
             marena: RwLock::new(Vec::new()),
             vfree: Mutex::new(Vec::new()),
             mfree: Mutex::new(Vec::new()),
-            snapshot: Mutex::new(Arc::new(Generation {
-                number: 0,
-                vnodes: Vec::new(),
-                mnodes: Vec::new(),
-                cre: vec![0.0, 1.0],
-                cim: vec![0.0, 0.0],
-            })),
             gate_cache: Mutex::new(FxHashMap::default()),
             gc_lock: Mutex::new(()),
             gc_requested: AtomicBool::new(false),
@@ -718,9 +607,6 @@ impl SharedStore {
             cross_thread_hits: AtomicU64::new(0),
             shard_lock_waits: AtomicU64::new(0),
             shard_contention_ns: AtomicU64::new(0),
-            epoch_pins: AtomicU64::new(0),
-            retired_generations: AtomicU64::new(0),
-            deferred_reclaim_bytes: AtomicU64::new(0),
             barrier_wait_ns: AtomicU64::new(0),
             barrier_deferrals: AtomicUsize::new(0),
         })
@@ -755,42 +641,6 @@ impl SharedStore {
         self.vlive.load(Ordering::Relaxed) + self.mlive.load(Ordering::Relaxed)
     }
 
-    /// The generation snapshot workspaces pin for lock-free reads.
-    pub(crate) fn current_generation(&self) -> Arc<Generation> {
-        Arc::clone(&lock(&self.snapshot))
-    }
-
-    /// Publishes a fresh generation snapshot of the given (post-sweep) arena
-    /// contents and the current complex-table lanes, retiring the previous
-    /// one. Called by the collector while it still holds the arena write
-    /// locks, so the snapshot is consistent by construction.
-    ///
-    /// Reclamation of the retired generation is *deferred*: dropping the
-    /// store's reference frees it only once the last workspace still pinning
-    /// it re-pins or detaches; until then its footprint is accounted in
-    /// [`SharedStoreStats::deferred_reclaim_bytes`].
-    pub(crate) fn publish_generation(&self, vnodes: &[VNode], mnodes: &[MNode]) {
-        let (cre, cim) = self.ctab.clone_lanes();
-        let mut slot = lock(&self.snapshot);
-        let next = Arc::new(Generation {
-            number: slot.number + 1,
-            vnodes: vnodes.to_vec(),
-            mnodes: mnodes.to_vec(),
-            cre,
-            cim,
-        });
-        let old = std::mem::replace(&mut *slot, next);
-        drop(slot);
-        self.retired_generations.fetch_add(1, Ordering::Relaxed);
-        obs::metrics::add(obs::metrics::DD_RETIRED_GENERATIONS, 1);
-        if Arc::strong_count(&old) > 1 {
-            let bytes = old.bytes();
-            self.deferred_reclaim_bytes
-                .fetch_add(bytes, Ordering::Relaxed);
-            obs::metrics::add(obs::metrics::DD_DEFERRED_RECLAIM_BYTES, bytes);
-        }
-    }
-
     /// Aggregate telemetry (see [`SharedStoreStats`]).
     pub fn stats(&self) -> SharedStoreStats {
         SharedStoreStats {
@@ -805,9 +655,6 @@ impl SharedStore {
             cross_thread_hits: self.cross_thread_hits.load(Ordering::Relaxed),
             shard_lock_waits: self.shard_lock_waits.load(Ordering::Relaxed),
             shard_contention_ns: self.shard_contention_ns.load(Ordering::Relaxed),
-            epoch_pins: self.epoch_pins.load(Ordering::Relaxed),
-            retired_generations: self.retired_generations.load(Ordering::Relaxed),
-            deferred_reclaim_bytes: self.deferred_reclaim_bytes.load(Ordering::Relaxed),
             barrier_wait_ns: self.barrier_wait_ns.load(Ordering::Relaxed),
             barrier_deferrals: self.barrier_deferrals.load(Ordering::Relaxed),
             attached: self.attached.load(Ordering::Acquire),
@@ -815,31 +662,61 @@ impl SharedStore {
     }
 }
 
-/// The package-side handle of one attachment: the pinned generation, epoch
-/// tails and overlays, memos and telemetry.
+/// Reads slot `idx` of a shared arena through a workspace mirror of it: a
+/// live mirrored entry is returned without a lock; a miss or a mirrored
+/// sentinel (`free`) refills the mirror under the arena read lock, in bulk
+/// past its end or for that one slot below it.
+#[inline]
+fn read_mirrored<T: Copy>(
+    mirror: &RefCell<Vec<T>>,
+    arena: &RwLock<Vec<T>>,
+    idx: usize,
+    free: impl Fn(&T) -> bool,
+) -> T {
+    if let Some(&entry) = mirror.borrow().get(idx) {
+        if !free(&entry) {
+            return entry;
+        }
+    }
+    let mut mirror = mirror.borrow_mut();
+    let arena = read(arena);
+    let len = mirror.len();
+    if idx < len {
+        mirror[idx] = arena[idx];
+    } else {
+        mirror.extend_from_slice(&arena[len..]);
+    }
+    mirror[idx]
+}
+
+/// Records a slot this workspace just wrote in its mirror, so the reads
+/// that follow need no arena lock. A slot past the mirror's end is left to
+/// the next refill unless it is the very next one.
+fn note_mirrored<T>(mirror: &RefCell<Vec<T>>, idx: usize, entry: T) {
+    let mut mirror = mirror.borrow_mut();
+    if idx < mirror.len() {
+        mirror[idx] = entry;
+    } else if idx == mirror.len() {
+        mirror.push(entry);
+    }
+}
+
+/// The package-side handle of one attachment: the read mirrors, the weight
+/// memos and telemetry.
 ///
-/// Tails and overlays are `RefCell`s because diagram *reads* (`vnode`,
-/// weight lookups) happen behind `&self` package methods; the package itself
-/// is `Send` but not `Sync`, which is exactly the one-workspace-per-thread
-/// contract. Reads of structure older than the pin never touch them.
+/// The mirrors are `RefCell`s because diagram *reads* (`vnode`, weight
+/// lookups) happen behind `&self` package methods; the package itself is
+/// `Send` but not `Sync`, which is exactly the one-workspace-per-thread
+/// contract.
 #[derive(Debug)]
 pub(crate) struct SharedHandle {
     pub(crate) store: Arc<SharedStore>,
     pub(crate) ws_id: u32,
-    /// The pinned generation: all reads below its lengths are lock-free.
-    pin: Arc<Generation>,
-    /// Epoch tails: copies of arena/lane slots allocated *after* the pin
-    /// (index ≥ the pinned length), refilled in bulk under the read locks.
-    vtail: RefCell<Vec<VNode>>,
-    mtail: RefCell<Vec<MNode>>,
-    ctail: RefCell<Vec<Complex>>,
-    /// Epoch overlays: pinned-range slots that were on the free lists at
-    /// publish time (sentinels in the snapshot) and were recycled by an
-    /// allocation this epoch. A slot recycles at most once per epoch, so a
-    /// cached entry stays valid until the next re-pin.
-    voverlay: RefCell<FxHashMap<u32, VNode>>,
-    moverlay: RefCell<FxHashMap<u32, MNode>>,
-    coverlay: RefCell<FxHashMap<u32, Complex>>,
+    /// Copies of the arena and weight slots (see the module docs), valid
+    /// until the next collection.
+    vmirror: RefCell<Vec<VNode>>,
+    mmirror: RefCell<Vec<MNode>>,
+    cmirror: RefCell<Vec<Complex>>,
     mul_memo: LossyCache<(CIdx, CIdx), CIdx>,
     add_memo: LossyCache<(CIdx, CIdx), CIdx>,
     div_memo: LossyCache<(CIdx, CIdx), CIdx>,
@@ -852,8 +729,6 @@ pub(crate) struct SharedHandle {
     shard_lock_waits: u64,
     /// Nanoseconds spent blocked in those acquisitions.
     shard_contention_ns: u64,
-    /// Generation pins taken (one at attach plus one per re-pin).
-    epoch_pins: u64,
 }
 
 /// log2 slots of the weight-arithmetic memo caches.
@@ -863,22 +738,16 @@ impl SharedHandle {
     pub(crate) fn new(store: &Arc<SharedStore>) -> Self {
         // Attachment synchronises with collection: once this increment is
         // visible (under the gc_lock), no barrier round can start or finish
-        // without counting us, and the pinned generation cannot be mid-swap.
-        // A panicking sibling may have poisoned the lock; the guarded data
-        // is just the collector election, so recover.
+        // without counting us. A panicking sibling may have poisoned the
+        // lock; the guarded data is just the collector election, so recover.
         let _guard = lock(&store.gc_lock);
         store.attached.fetch_add(1, Ordering::AcqRel);
-        store.epoch_pins.fetch_add(1, Ordering::Relaxed);
         SharedHandle {
             store: Arc::clone(store),
             ws_id: store.next_workspace.fetch_add(1, Ordering::Relaxed),
-            pin: store.current_generation(),
-            vtail: RefCell::new(Vec::new()),
-            mtail: RefCell::new(Vec::new()),
-            ctail: RefCell::new(Vec::new()),
-            voverlay: RefCell::new(FxHashMap::default()),
-            moverlay: RefCell::new(FxHashMap::default()),
-            coverlay: RefCell::new(FxHashMap::default()),
+            vmirror: RefCell::new(Vec::new()),
+            mmirror: RefCell::new(Vec::new()),
+            cmirror: RefCell::new(Vec::new()),
             mul_memo: LossyCache::new("shared_mul", MEMO_BITS),
             add_memo: LossyCache::new("shared_add", MEMO_BITS),
             div_memo: LossyCache::new("shared_div", MEMO_BITS),
@@ -887,7 +756,6 @@ impl SharedHandle {
             cross_thread_hits: 0,
             shard_lock_waits: 0,
             shard_contention_ns: 0,
-            epoch_pins: 1,
         }
     }
 
@@ -900,185 +768,51 @@ impl SharedHandle {
         }
     }
 
-    /// Re-pins the current generation after a collection: swaps the
-    /// snapshot and drops the epoch tails/overlays (now folded into the new
-    /// snapshot). The weight-arithmetic memos survive — their indices were
-    /// published as GC roots, and compaction keeps marked indices stable.
-    /// No-op when no new generation was published (e.g. an aborted round).
-    pub(crate) fn repin(&mut self) {
-        let current = self.store.current_generation();
-        if Arc::ptr_eq(&current, &self.pin) {
-            return;
-        }
-        self.pin = current;
-        self.epoch_pins += 1;
-        self.vtail.borrow_mut().clear();
-        self.mtail.borrow_mut().clear();
-        self.ctail.borrow_mut().clear();
-        self.voverlay.borrow_mut().clear();
-        self.moverlay.borrow_mut().clear();
-        self.coverlay.borrow_mut().clear();
-    }
-
-    /// Weight indices the surviving memo tables reference; published as GC
-    /// roots so compaction cannot free (and later recycle) a slot a memo
-    /// entry would still resolve to.
-    pub(crate) fn memo_weight_roots(&self) -> Vec<u32> {
-        let mut roots = Vec::new();
-        {
-            let mut push = |idx: CIdx| {
-                if !idx.is_zero() && !idx.is_one() {
-                    roots.push(idx.0);
-                }
-            };
-            for &((a, b), r) in self.mul_memo.entries() {
-                push(a);
-                push(b);
-                push(r);
-            }
-            for &((a, b), r) in self.add_memo.entries() {
-                push(a);
-                push(b);
-                push(r);
-            }
-            for &((a, b), r) in self.div_memo.entries() {
-                push(a);
-                push(b);
-                push(r);
-            }
-            for &(_, r) in self.bits_memo.entries() {
-                push(r);
-            }
-        }
-        roots
+    /// Drops the mirrors and the weight memos after a collection this
+    /// workspace crossed: the sweep may have freed any slot they hold, and
+    /// later interns may recycle it under the same index.
+    pub(crate) fn clear_mirrors(&mut self) {
+        self.vmirror.get_mut().clear();
+        self.mmirror.get_mut().clear();
+        self.cmirror.get_mut().clear();
+        self.mul_memo.clear();
+        self.add_memo.clear();
+        self.div_memo.clear();
+        self.bits_memo.clear();
     }
 
     // ------------------------------------------------------------------
-    // Node reads (pinned snapshot first, epoch tail/overlay second)
+    // Reads through the mirrors
     // ------------------------------------------------------------------
 
     pub(crate) fn vnode(&self, id: NodeId) -> VNode {
-        let idx = id.index();
-        let pinned = &self.pin.vnodes;
-        if idx < pinned.len() {
-            let node = pinned[idx];
-            if !node.is_free() {
-                return node;
-            }
-            // On the free list at publish time; may have been recycled by an
-            // allocation this epoch. A slot recycles at most once per epoch,
-            // so a cached overlay entry stays valid until the next re-pin.
-            if let Some(&node) = self.voverlay.borrow().get(&(idx as u32)) {
-                return node;
-            }
-            let node = read(&self.store.varena)[idx];
-            if !node.is_free() {
-                self.voverlay.borrow_mut().insert(idx as u32, node);
-            }
-            return node;
-        }
-        let base = pinned.len();
-        let off = idx - base;
-        {
-            let tail = self.vtail.borrow();
-            if off < tail.len() {
-                let node = tail[off];
-                if !node.is_free() {
-                    return node;
-                }
-            }
-        }
-        let mut tail = self.vtail.borrow_mut();
-        let arena = read(&self.store.varena);
-        let len = tail.len();
-        if off < len {
-            tail[off] = arena[idx];
-        } else {
-            tail.extend_from_slice(&arena[base + len..]);
-        }
-        tail[off]
+        read_mirrored(
+            &self.vmirror,
+            &self.store.varena,
+            id.index(),
+            VNode::is_free,
+        )
     }
 
     pub(crate) fn mnode(&self, id: NodeId) -> MNode {
-        let idx = id.index();
-        let pinned = &self.pin.mnodes;
-        if idx < pinned.len() {
-            let node = pinned[idx];
-            if !node.is_free() {
-                return node;
-            }
-            if let Some(&node) = self.moverlay.borrow().get(&(idx as u32)) {
-                return node;
-            }
-            let node = read(&self.store.marena)[idx];
-            if !node.is_free() {
-                self.moverlay.borrow_mut().insert(idx as u32, node);
-            }
-            return node;
-        }
-        let base = pinned.len();
-        let off = idx - base;
-        {
-            let tail = self.mtail.borrow();
-            if off < tail.len() {
-                let node = tail[off];
-                if !node.is_free() {
-                    return node;
-                }
-            }
-        }
-        let mut tail = self.mtail.borrow_mut();
-        let arena = read(&self.store.marena);
-        let len = tail.len();
-        if off < len {
-            tail[off] = arena[idx];
-        } else {
-            tail.extend_from_slice(&arena[base + len..]);
-        }
-        tail[off]
+        read_mirrored(
+            &self.mmirror,
+            &self.store.marena,
+            id.index(),
+            MNode::is_free,
+        )
+    }
+
+    pub(crate) fn value(&self, idx: CIdx) -> Complex {
+        // Freed weight slots hold a NaN sentinel.
+        read_mirrored(&self.cmirror, &self.store.ctab.values, idx.index(), |v| {
+            v.re.is_nan()
+        })
     }
 
     // ------------------------------------------------------------------
     // Complex weights
     // ------------------------------------------------------------------
-
-    pub(crate) fn value(&self, idx: CIdx) -> Complex {
-        let i = idx.index();
-        let base = self.pin.cre.len();
-        if i < base {
-            let v = Complex::new(self.pin.cre[i], self.pin.cim[i]);
-            // NaN marks a slot freed at publish time (possibly recycled
-            // since by an intern this epoch).
-            if !v.re.is_nan() {
-                return v;
-            }
-            if let Some(&v) = self.coverlay.borrow().get(&(i as u32)) {
-                return v;
-            }
-            let v = self.store.ctab.slot(i);
-            if !v.re.is_nan() {
-                self.coverlay.borrow_mut().insert(i as u32, v);
-            }
-            return v;
-        }
-        let off = i - base;
-        {
-            let tail = self.ctail.borrow();
-            if off < tail.len() {
-                let v = tail[off];
-                if !v.re.is_nan() {
-                    return v;
-                }
-            }
-        }
-        let mut tail = self.ctail.borrow_mut();
-        if off < tail.len() {
-            tail[off] = self.store.ctab.slot(i);
-        } else {
-            self.store.ctab.extend_tail(base, &mut tail);
-        }
-        tail[off]
-    }
 
     pub(crate) fn intern(&mut self, value: Complex) -> CIdx {
         if value.is_zero() {
@@ -1164,40 +898,6 @@ impl SharedHandle {
     // Node interning (sharded unique tables)
     // ------------------------------------------------------------------
 
-    /// Records a freshly interned node in this workspace's epoch-local view
-    /// so the immediately following reads don't need the arena lock.
-    fn note_own_vnode(&self, id: u32, node: VNode) {
-        let idx = id as usize;
-        let pinned = self.pin.vnodes.len();
-        if idx < pinned {
-            self.voverlay.borrow_mut().insert(id, node);
-        } else {
-            let mut tail = self.vtail.borrow_mut();
-            let off = idx - pinned;
-            if off < tail.len() {
-                tail[off] = node;
-            } else if off == tail.len() {
-                tail.push(node);
-            }
-        }
-    }
-
-    fn note_own_mnode(&self, id: u32, node: MNode) {
-        let idx = id as usize;
-        let pinned = self.pin.mnodes.len();
-        if idx < pinned {
-            self.moverlay.borrow_mut().insert(id, node);
-        } else {
-            let mut tail = self.mtail.borrow_mut();
-            let off = idx - pinned;
-            if off < tail.len() {
-                tail[off] = node;
-            } else if off == tail.len() {
-                tail.push(node);
-            }
-        }
-    }
-
     /// Interns a vector node; returns the canonical id and whether it was
     /// freshly allocated by this call.
     ///
@@ -1207,8 +907,8 @@ impl SharedHandle {
     /// price is a double-checked second probe; losing that race leaks the
     /// slot until the next sweep, where it is unreachable (never published
     /// to a map, never handed out as an id) and reclaimed like any other
-    /// garbage. Slots still recycle at most once per epoch — a leaked slot
-    /// is written once and never re-freed mid-epoch.
+    /// garbage. Slots still recycle at most once between collections — a
+    /// leaked slot is written once and never re-freed before the next one.
     pub(crate) fn intern_vnode(&mut self, node: VNode) -> (NodeId, bool) {
         let hash = fx_hash(&node);
         let shard = &self.store.vshards[(hash as usize) & (SHARDS - 1)];
@@ -1265,7 +965,7 @@ impl SharedHandle {
                 + 1
                 + self.store.mlive.load(Ordering::Relaxed),
         );
-        self.note_own_vnode(id, node);
+        note_mirrored(&self.vmirror, id as usize, node);
         (NodeId(id), true)
     }
 
@@ -1327,7 +1027,7 @@ impl SharedHandle {
                 + 1
                 + self.store.vlive.load(Ordering::Relaxed),
         );
-        self.note_own_mnode(id, node);
+        note_mirrored(&self.mmirror, id as usize, node);
         (NodeId(id), true)
     }
 
@@ -1369,8 +1069,7 @@ impl Drop for SharedHandle {
         // Flush local telemetry so SharedStore::stats() is complete once a
         // race's workspaces are gone, then detach. A pending barrier may be
         // waiting for this workspace: the detach shrinks the parked quorum,
-        // so wake the collector to re-count. Dropping `pin` here is what
-        // releases this workspace's share of any retired generation.
+        // so wake the collector to re-count.
         self.store
             .intern_hits
             .fetch_add(self.intern_hits, Ordering::Relaxed);
@@ -1383,11 +1082,6 @@ impl Drop for SharedHandle {
         self.store
             .shard_contention_ns
             .fetch_add(self.shard_contention_ns, Ordering::Relaxed);
-        // epoch_pins counts the attach pin once (added at attach) plus the
-        // re-pins accumulated since.
-        self.store
-            .epoch_pins
-            .fetch_add(self.epoch_pins - 1, Ordering::Relaxed);
         obs::metrics::add(obs::metrics::DD_UNIQUE_HITS, self.intern_hits);
         obs::metrics::add(obs::metrics::DD_CROSS_THREAD_HITS, self.cross_thread_hits);
         obs::metrics::add(obs::metrics::DD_SHARD_WAITS, self.shard_lock_waits);
@@ -1395,7 +1089,6 @@ impl Drop for SharedHandle {
             obs::metrics::DD_SHARD_CONTENTION_NS,
             self.shard_contention_ns,
         );
-        obs::metrics::add(obs::metrics::DD_EPOCH_PINS, self.epoch_pins);
         self.store.attached.fetch_sub(1, Ordering::AcqRel);
         if self.store.gc_requested.load(Ordering::Acquire) {
             let _barrier = lock(&self.store.barrier);
@@ -1479,11 +1172,10 @@ mod tests {
         marked[keep.index()] = true;
         assert_eq!(store.ctab.retain_marked(&marked), 1);
         // The kept index is stable; the dead slot is a NaN sentinel.
-        assert!(store
-            .ctab
-            .slot(keep.index())
-            .approx_eq(Complex::new(0.25, 0.0)));
-        assert!(store.ctab.slot(dead.index()).re.is_nan());
+        let values = read(&store.ctab.values);
+        assert!(values[keep.index()].approx_eq(Complex::new(0.25, 0.0)));
+        assert!(values[dead.index()].re.is_nan());
+        drop(values);
         // The freed slot is recycled by the next intern.
         let recycled = store
             .ctab

@@ -6,10 +6,6 @@
 //! mapped onto the same index, which makes node equality (and therefore
 //! hash-consing in the unique table) an exact integer comparison even in the
 //! presence of floating-point round-off.
-//!
-//! Storage is structure-of-arrays: the real and imaginary components live in
-//! two separate `f64` lanes, the layout a shared store's published generation
-//! snapshots copy wholesale (see [`store`](crate::store)).
 
 use crate::complex::{Complex, TOLERANCE};
 use crate::hash::FxHashMap;
@@ -62,10 +58,7 @@ const BUCKET: f64 = TOLERANCE;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ComplexTable {
-    /// Real components of the value slots (same length as `im`).
-    re: Vec<f64>,
-    /// Imaginary components of the value slots.
-    im: Vec<f64>,
+    values: Vec<Complex>,
     buckets: FxHashMap<(i64, i64), Vec<u32>>,
     /// Slots freed by [`retain_marked`](Self::retain_marked), recycled by the
     /// next inserts. Freed slots hold a NaN sentinel and are absent from the
@@ -83,8 +76,7 @@ impl ComplexTable {
     /// Creates a table pre-populated with the canonical constants `0` and `1`.
     pub fn new() -> Self {
         let mut table = ComplexTable {
-            re: Vec::with_capacity(1024),
-            im: Vec::with_capacity(1024),
+            values: Vec::with_capacity(1024),
             buckets: FxHashMap::default(),
             free: Vec::new(),
         };
@@ -105,15 +97,12 @@ impl ComplexTable {
     fn insert(&mut self, value: Complex) -> CIdx {
         let idx = match self.free.pop() {
             Some(slot) => {
-                self.re[slot as usize] = value.re;
-                self.im[slot as usize] = value.im;
+                self.values[slot as usize] = value;
                 slot
             }
             None => {
-                let idx = self.re.len() as u32;
-                self.re.push(value.re);
-                self.im.push(value.im);
-                idx
+                self.values.push(value);
+                (self.values.len() - 1) as u32
             }
         };
         self.buckets
@@ -137,8 +126,7 @@ impl ComplexTable {
             for di in -1..=1 {
                 if let Some(candidates) = self.buckets.get(&(kr + dr, ki + di)) {
                     for &idx in candidates {
-                        let slot = Complex::new(self.re[idx as usize], self.im[idx as usize]);
-                        if slot.approx_eq(value) {
+                        if self.values[idx as usize].approx_eq(value) {
                             return CIdx(idx);
                         }
                     }
@@ -155,19 +143,19 @@ impl ComplexTable {
     /// Panics if `idx` was not produced by this table.
     #[inline]
     pub fn value(&self, idx: CIdx) -> Complex {
-        Complex::new(self.re[idx.0 as usize], self.im[idx.0 as usize])
+        self.values[idx.0 as usize]
     }
 
     /// Number of value slots (live entries plus compaction-freed slots).
     #[inline]
     pub fn len(&self) -> usize {
-        self.re.len()
+        self.values.len()
     }
 
     /// Number of *live* interned values (slots minus freed slots).
     #[inline]
     pub fn live_len(&self) -> usize {
-        self.re.len() - self.free.len()
+        self.values.len() - self.free.len()
     }
 
     /// Returns `true` when only the canonical constants are stored.
@@ -176,43 +164,28 @@ impl ComplexTable {
         self.live_len() <= 2
     }
 
-    /// The raw value in slot `i` (freed slots hold a NaN sentinel). Used by
-    /// shared workspaces to refresh one mirror entry; the NaN sentinel is
-    /// what lets a mirror detect a slot that was freed (and possibly
-    /// recycled) by a compaction it did not witness.
-    #[inline]
-    pub(crate) fn slot(&self, i: usize) -> Complex {
-        Complex::new(self.re[i], self.im[i])
-    }
-
     /// Compacts the table: every slot whose index is *not* marked is freed
     /// for reuse and removed from the lookup buckets, so long runs stop
     /// accumulating weights that no live diagram references. Indices of
     /// marked entries are stable across the compaction. Returns the number
     /// of freed slots.
     ///
-    /// On a shared store this runs behind the GC barrier with every other
-    /// workspace parked; the parked workspaces invalidate their value
-    /// mirrors on release (the mark set spans *all* workspaces' roots, so
-    /// every index they can still reach stays stable).
-    ///
     /// The canonical constants `0` and `1` are always kept, and indices
     /// beyond `marked.len()` are treated as unmarked.
     pub fn retain_marked(&mut self, marked: &[bool]) -> usize {
         let mut freed = 0;
         self.buckets.clear();
-        for idx in 0..self.re.len() {
-            let keep = idx <= 1 || marked.get(idx).copied().unwrap_or(false);
-            if keep {
-                if !self.re[idx].is_nan() {
-                    self.buckets
-                        .entry(Self::bucket_key(self.slot(idx)))
-                        .or_default()
-                        .push(idx as u32);
-                }
-            } else if !self.re[idx].is_nan() {
-                self.re[idx] = f64::NAN;
-                self.im[idx] = f64::NAN;
+        for (idx, value) in self.values.iter_mut().enumerate() {
+            if value.re.is_nan() {
+                continue;
+            }
+            if idx <= 1 || marked.get(idx).copied().unwrap_or(false) {
+                self.buckets
+                    .entry(Self::bucket_key(*value))
+                    .or_default()
+                    .push(idx as u32);
+            } else {
+                *value = Complex::new(f64::NAN, f64::NAN);
                 self.free.push(idx as u32);
                 freed += 1;
             }

@@ -3,7 +3,7 @@
 //! agree on *pointer-identical* canonical edges, and a final collection once
 //! the racers detach must leave the store clean and consistent.
 
-use dd::{gates, Control, DdPackage, MEdge, SharedStore, VEdge};
+use dd::{gates, CIdx, Complex, Control, DdPackage, MEdge, SharedStore, VEdge};
 use std::sync::Arc;
 
 const QUBITS: usize = 8;
@@ -258,12 +258,12 @@ fn node_budgets_stay_per_workspace_on_a_shared_store() {
 }
 
 #[test]
-fn snapshot_reads_survive_gc_pressure() {
+fn mirrored_reads_survive_gc_pressure() {
     use dd::{Budget, MemoryConfig};
-    // The epoch-snapshot acceptance stress: racers churn hard enough to
-    // force repeated mid-race barrier collections. Each workspace re-pins
-    // the freshly published generation at every collection it crosses, and
-    // its protected reference state must read back intact throughout.
+    // Racers churn hard enough to force repeated mid-race barrier
+    // collections. Each workspace drops its mirrors and weight memos at
+    // every collection it crosses, and its protected reference state must
+    // read back intact throughout.
     let store = SharedStore::new();
     let threads = 4;
     let config = MemoryConfig {
@@ -272,25 +272,32 @@ fn snapshot_reads_survive_gc_pressure() {
     };
     let go = std::sync::Barrier::new(threads);
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let store = Arc::clone(&store);
-            let go = &go;
-            scope.spawn(move || {
-                let mut ws = store.workspace_with(QUBITS, Budget::unlimited(), config);
-                let reference = qft_state(&mut ws);
-                ws.protect_vector(reference);
-                go.wait();
-                let mut state = ws.zero_state();
-                for round in 0..120u32 {
-                    for q in 0..QUBITS {
-                        let angle = 0.29 + (round as usize * QUBITS + q) as f64;
-                        state = ws.apply_gate(state, &gates::ry(angle), q, &[]);
+    let collected: usize = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let store = Arc::clone(&store);
+                let go = &go;
+                scope.spawn(move || {
+                    let mut ws = store.workspace_with(QUBITS, Budget::unlimited(), config);
+                    let reference = qft_state(&mut ws);
+                    ws.protect_vector(reference);
+                    go.wait();
+                    let mut state = ws.zero_state();
+                    for round in 0..120u32 {
+                        for q in 0..QUBITS {
+                            let angle = 0.29 + (round as usize * QUBITS + q) as f64;
+                            state = ws.apply_gate(state, &gates::ry(angle), q, &[]);
+                        }
+                        assert!((ws.norm_sqr(reference) - 1.0).abs() < 1e-9);
                     }
-                    assert!((ws.norm_sqr(reference) - 1.0).abs() < 1e-9);
-                }
-            });
-        }
+                    ws.memory_stats().gc_runs
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("racer panicked"))
+            .sum()
     });
 
     let stats = store.stats();
@@ -298,27 +305,20 @@ fn snapshot_reads_survive_gc_pressure() {
         stats.gc_runs >= 1,
         "the churn must actually trigger collections: {stats:?}"
     );
-    // Every completed shared collection retires the superseded generation…
+    // Every completed shared collection had exactly one collector.
     assert_eq!(
-        stats.retired_generations, stats.gc_runs as u64,
-        "each collection publishes (and thus retires) one generation: {stats:?}"
-    );
-    // …and every workspace pinned once at attach plus once per collection
-    // it crossed, so pins strictly exceed the attach count.
-    assert!(
-        stats.epoch_pins > threads as u64,
-        "collections crossed mid-race must show up as re-pins: {stats:?}"
+        collected, stats.gc_runs,
+        "each collection is run by one workspace: {stats:?}"
     );
 }
 
 #[test]
-fn protected_edges_stay_pointer_identical_across_a_snapshot_swap() {
-    // A collection publishes a new generation (snapshot swap) while the
-    // survivors keep their arena slots: the protected edge held from before
-    // the swap must stay valid *as the same (NodeId, CIdx) handle*, reads
-    // through the new pin must produce bit-identical amplitudes, and
-    // re-interning the sequence must find the surviving nodes instead of
-    // rebuilding them.
+fn protected_edges_stay_pointer_identical_across_a_collection() {
+    // A collection frees garbage slots while the survivors keep theirs: the
+    // protected edge held from before the collection must stay valid *as
+    // the same (NodeId, CIdx) handle*, reads through the refilled mirrors
+    // must produce bit-identical amplitudes, and re-interning the sequence
+    // must find the surviving nodes instead of rebuilding them.
     let store = SharedStore::new();
     let mut ws = store.workspace(QUBITS);
     let state = qft_state(&mut ws);
@@ -327,16 +327,16 @@ fn protected_edges_stay_pointer_identical_across_a_snapshot_swap() {
     let amplitude_before = ws.amplitude(state, 0);
 
     // Churn garbage so the sweep has something to reclaim, then collect:
-    // sole attachment, so this sweeps immediately and swaps the snapshot.
+    // sole attachment, so this sweeps immediately.
     let mut garbage = ws.zero_state();
     for q in 0..QUBITS {
         garbage = ws.apply_gate(garbage, &gates::ry(0.37 + q as f64), q, &[]);
     }
     let reclaimed = ws.garbage_collect();
     assert!(reclaimed > 0, "the garbage state should be collectable");
-    assert_eq!(store.stats().retired_generations, 1);
+    assert_eq!(store.stats().gc_runs, 1);
 
-    // Same handle, same values — the swap moved the snapshot, not the edge.
+    // Same handle, same values — the collection freed garbage, not the edge.
     assert_eq!(ws.norm_sqr(state).to_bits(), norm_before.to_bits());
     assert_eq!(
         ws.amplitude(state, 0).re.to_bits(),
@@ -345,14 +345,11 @@ fn protected_edges_stay_pointer_identical_across_a_snapshot_swap() {
     let rebuilt = qft_state(&mut ws);
     assert_eq!(
         rebuilt, state,
-        "survivors must be found pointer-identically after the swap"
+        "survivors must be found pointer-identically after the collection"
     );
-    drop(ws);
-    // One attach pin plus at least the collection's re-pin.
-    assert!(store.stats().epoch_pins >= 2, "{:?}", store.stats());
 }
 
-mod pinned_reads_property {
+mod mirrored_reads_property {
     use super::*;
     use dd::VEdge;
     use proptest::prelude::*;
@@ -374,15 +371,15 @@ mod pinned_reads_property {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Epoch-pinned reads never observe a reclaimed generation: across
-        /// arbitrary build/collect interleavings, a protected diagram read
-        /// through its workspace's pin keeps returning bit-identical
-        /// amplitudes, and a workspace attaching *after* the swap (pinned
-        /// to the new generation) reproduces the identical canonical edge.
-        /// A read escaping into a reclaimed slot would surface as a NaN
-        /// weight, a freed node or a diverged edge — all asserted against.
+        /// Mirrored reads never observe a recycled slot: across arbitrary
+        /// build/collect interleavings, a protected diagram read through
+        /// its workspace's mirrors keeps returning bit-identical
+        /// amplitudes, and a workspace attaching *after* the collections
+        /// reproduces the identical canonical edge. A stale mirrored read
+        /// would surface as a NaN weight, a freed node or a diverged edge —
+        /// all asserted against.
         #[test]
-        fn pinned_reads_never_observe_a_reclaimed_generation(
+        fn mirrored_reads_never_observe_a_recycled_slot(
             kept in walk(24),
             garbage in proptest::collection::vec(walk(16), 1..4),
         ) {
@@ -393,8 +390,8 @@ mod pinned_reads_property {
             let norm = ws.norm_sqr(reference);
             prop_assert!(norm.is_finite());
 
-            // Interleave garbage churn with collections; every collection
-            // retires the pinned generation and recycles freed slots.
+            // Interleave garbage churn with collections; the churn after
+            // each collection recycles the slots it freed.
             for ops in &garbage {
                 let _ = build(&mut ws, ops);
                 ws.garbage_collect();
@@ -405,9 +402,9 @@ mod pinned_reads_property {
             drop(ws);
 
             let stats = store.stats();
-            prop_assert_eq!(stats.retired_generations, garbage.len() as u64);
+            prop_assert_eq!(stats.gc_runs, garbage.len());
 
-            // A late workspace pins the *current* generation and must see
+            // A late workspace starts with empty mirrors and must see
             // exactly the canonical survivors, never a recycled slot.
             let mut late = store.workspace(QUBITS);
             let rebuilt = build(&mut late, &kept);
@@ -415,6 +412,114 @@ mod pinned_reads_property {
             prop_assert_eq!(late.norm_sqr(rebuilt).to_bits(), norm.to_bits());
         }
     }
+}
+
+/// Two-qubit rotations entangled by a CX: applying them memoises weight
+/// products, sums and normalising quotients whose results only the
+/// returned state references.
+fn rotations(package: &mut DdPackage) -> VEdge {
+    let mut state = package.zero_state();
+    for (q, angle) in [(0, 0.7), (1, 1.9), (0, 2.3)] {
+        state = package.apply_gate(state, &gates::ry(angle), q, &[]);
+    }
+    state = package.apply_gate(state, &gates::x(), 1, &[Control::pos(0)]);
+    package.apply_gate(state, &gates::phase(0.4), 1, &[])
+}
+
+/// Every edge weight of a vector diagram except the constants 0 and 1.
+fn weights(package: &DdPackage, e: VEdge, out: &mut Vec<CIdx>) {
+    if e.is_zero() {
+        return;
+    }
+    if !e.weight.is_one() {
+        out.push(e.weight);
+    }
+    if !e.is_terminal() {
+        for child in package.vector_children(e) {
+            weights(package, child, out);
+        }
+    }
+}
+
+/// Run by a workspace right after a collection freed the weight slots of
+/// its `garbage` state: fresh interns recycle those slots, and neither a
+/// read of a recycled slot nor the memoised arithmetic that once produced
+/// the garbage may resolve to the slot's old value.
+fn recycle_and_recompute(ws: &mut DdPackage, garbage: &[CIdx]) {
+    let fillers: Vec<(CIdx, Complex)> = (0..512)
+        .map(|k| {
+            let value = Complex::new(0.5 + k as f64 * 1e-6, -0.25);
+            (ws.intern(value), value)
+        })
+        .collect();
+    assert!(
+        garbage
+            .iter()
+            .any(|w| fillers.iter().any(|(filler, _)| filler == w)),
+        "the collection must free, and the fillers recycle, a garbage weight slot"
+    );
+    for &(idx, value) in &fillers {
+        assert!(ws.value(idx).approx_eq(value), "stale read of slot {idx:?}");
+    }
+    let again = rotations(ws);
+    let mut private = DdPackage::new(2);
+    let expected = rotations(&mut private);
+    for (got, want) in ws
+        .amplitudes(again)
+        .into_iter()
+        .zip(private.amplitudes(expected))
+    {
+        assert!(
+            got.approx_eq(want),
+            "recomputation diverged from a private package: {got:?} vs {want:?}"
+        );
+    }
+}
+
+#[test]
+fn collector_weight_memos_never_resolve_to_a_recycled_slot() {
+    let store = SharedStore::new();
+    let mut ws = store.workspace(2);
+    let state = rotations(&mut ws);
+    let mut garbage = Vec::new();
+    weights(&ws, state, &mut garbage);
+    // Sole attachment: this workspace collects, freeing the state.
+    assert!(ws.garbage_collect() > 0);
+    assert!(ws.memory_stats().complex_reclaimed > 0);
+    recycle_and_recompute(&mut ws, &garbage);
+}
+
+#[test]
+fn parked_weight_memos_never_resolve_to_a_recycled_slot() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let store = SharedStore::new();
+    let mut collector = store.workspace(2);
+    let built = std::sync::Barrier::new(2);
+    let collected = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| {
+            let mut ws = store.workspace(2);
+            let state = rotations(&mut ws);
+            let mut garbage = Vec::new();
+            weights(&ws, state, &mut garbage);
+            built.wait();
+            // Pass through safe points until the collector's barrier has
+            // parked this workspace and swept its state.
+            while !collected.load(Ordering::Acquire) {
+                ws.add_vectors(VEdge::ZERO, VEdge::ZERO);
+            }
+            recycle_and_recompute(&mut ws, &garbage);
+        });
+        built.wait();
+        assert!(collector.garbage_collect() > 0);
+        collected.store(true, Ordering::Release);
+        parked.join().expect("parked workspace panicked");
+    });
+    let stats = store.stats();
+    assert_eq!(
+        stats.gc_barrier_runs, 1,
+        "the worker must have crossed the collection parked: {stats:?}"
+    );
 }
 
 #[test]

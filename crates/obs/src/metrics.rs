@@ -103,12 +103,6 @@ catalog! {
     BATCH_PAIRS = ("batch.pairs", Unit::Count, "includes pairs that errored during parse; see the report's failed count");
     /// Gate-matrix phase factors served from the precomputed twiddle table.
     DD_TWIDDLE_HITS = ("dd.gates.twiddle_hits", Unit::Count, "only cold gate-DD builds reach this path; a warm gate cache makes the count tiny regardless of the table's value");
-    /// Generation-snapshot pins taken by shared workspaces (attach + re-pins), folded at package drop.
-    DD_EPOCH_PINS = ("dd.store.epoch_pins", Unit::Count, "one pin per attach plus one per collection crossed; a high count means frequent GC, not expensive reads — pinning is an Arc clone");
-    /// Generation snapshots retired by a collection publishing a successor.
-    DD_RETIRED_GENERATIONS = ("dd.store.retired_generations", Unit::Count, "equals completed shared collections; retirement is not reclamation — a pinned generation lives on until its last reader moves");
-    /// Bytes of retired generations whose reclamation was deferred past the publish.
-    DD_DEFERRED_RECLAIM_BYTES = ("dd.store.deferred_reclaim_bytes", Unit::Count, "a running total of bytes that *entered* deferral, never decremented when freed; it bounds transient overhead, not live memory");
     /// Requests admitted by the verification service (queued or dispatched).
     SERVICE_REQUESTS = ("service.requests", Unit::Count, "admitted is not completed: cancelled and drain-rejected-later requests count the same as served ones");
     /// Running sum of the admission queue depth, sampled at each admission.

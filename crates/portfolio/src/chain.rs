@@ -9,10 +9,11 @@
 //! names the guilty pass, instead of the endpoint check's "the ends differ,
 //! somewhere".
 //!
-//! The chain protocol (see [`run_chain`]):
+//! The chain protocol, as run by
+//! [`VerificationService::submit_chain`](crate::service::VerificationService::submit_chain):
 //!
 //! 1. Each adjacent pair runs as an ordinary portfolio race, exactly as a
-//!    one-shot [`verify_portfolio`](crate::verify_portfolio) would run it:
+//!    one-shot [`verify_portfolio`] would run it:
 //!    a threaded race gets a fresh store of its own, and nothing carries
 //!    over from one step to the next.
 //! 2. On the first `NotEquivalent` step the chain stops and reports that

@@ -113,6 +113,10 @@ pub struct SchemeReport {
 /// Every race gets a fresh store that dies with it, so the report is that
 /// store's final stats: counters cover this race alone, and gauges
 /// (`shared_nodes`, `complex_entries`) are read once every scheme detached.
+/// Besides node counts, the fields cover sharing (`intern_hits`,
+/// `cross_thread_hits` and their rate), collection (`gc_runs`,
+/// `gc_barrier_runs`, `barrier_deferrals`, `barrier_wait_seconds`) and lock
+/// contention (`shard_lock_waits`, `shard_contention_seconds`).
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct SharedStoreReport {
     /// Live nodes when the race ended.
@@ -156,19 +160,6 @@ pub struct SharedStoreReport {
     /// Total time schemes spent blocked on store locks, in seconds.
     /// Sums across threads, like `barrier_wait_seconds`.
     pub shard_contention_seconds: f64,
-    /// Generation pins taken during this race: one per workspace attach
-    /// plus one per collection a workspace crossed. Pins are `Arc` clones —
-    /// a high count signals frequent GC, not expensive reads.
-    pub epoch_pins: u64,
-    /// Generations superseded by collections during this race. Retirement
-    /// is not reclamation: a pinned generation lives until its last reader
-    /// re-pins.
-    pub retired_generations: u64,
-    /// Bytes of superseded generations that *entered* deferred reclamation
-    /// during this race (still pinned by a reader when retired). A running
-    /// total, never decremented — it bounds transient overhead, not live
-    /// memory.
-    pub deferred_reclaim_bytes: u64,
     /// Live interned complex weights at race end.
     pub complex_entries: usize,
 }
@@ -192,9 +183,6 @@ impl SharedStoreReport {
             barrier_wait_seconds: stats.barrier_wait_ns as f64 / 1e9,
             shard_lock_waits: stats.shard_lock_waits,
             shard_contention_seconds: stats.shard_contention_ns as f64 / 1e9,
-            epoch_pins: stats.epoch_pins,
-            retired_generations: stats.retired_generations,
-            deferred_reclaim_bytes: stats.deferred_reclaim_bytes,
             complex_entries: stats.complex_entries,
         }
     }

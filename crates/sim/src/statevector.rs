@@ -5,7 +5,6 @@ use crate::error::SimError;
 use crate::gate_map;
 use circuit::{OpKind, Operation, QuantumCircuit};
 use dd::{Complex, DdPackage, VEdge};
-use std::time::{Duration, Instant};
 
 /// A Schrödinger-style simulator representing the state as a vector decision
 /// diagram.
@@ -100,28 +99,9 @@ impl StateVectorSimulator {
     }
 
     /// Combines [`with_budget`](Self::with_budget) and
-    /// [`with_initial_state`](Self::with_initial_state).
-    pub fn with_budget_and_initial_state(bits: &[bool], budget: dd::Budget) -> Self {
-        StateVectorSimulator::with_budget_and_initial_state_in(bits, budget, None)
-    }
-
-    /// [`with_budget_and_initial_state`](Self::with_budget_and_initial_state)
-    /// with an optional shared decision-diagram store.
-    pub fn with_budget_and_initial_state_in(
-        bits: &[bool],
-        budget: dd::Budget,
-        store: Option<&std::sync::Arc<dd::SharedStore>>,
-    ) -> Self {
-        StateVectorSimulator::with_memory_and_initial_state_in(
-            bits,
-            budget,
-            dd::MemoryConfig::default(),
-            store,
-        )
-    }
-
-    /// [`with_budget_and_initial_state_in`](Self::with_budget_and_initial_state_in)
-    /// with explicit [`dd::MemoryConfig`] sizing.
+    /// [`with_initial_state`](Self::with_initial_state), with explicit
+    /// [`dd::MemoryConfig`] sizing and an optional shared decision-diagram
+    /// store.
     pub fn with_memory_and_initial_state_in(
         bits: &[bool],
         budget: dd::Budget,
@@ -280,8 +260,9 @@ impl StateVectorSimulator {
     /// state held before the call and the rerun's final state (which also
     /// becomes the current state).
     ///
-    /// Compared to running a second simulator and [`fidelity_with`]
-    /// (Self::fidelity_with), this keeps a single decision-diagram package
+    /// Compared to running a second simulator and
+    /// [`fidelity_with`](Self::fidelity_with), this keeps a single
+    /// decision-diagram package
     /// alive — on a shared store, a single *attachment*, which matters for
     /// the store's barrier garbage collection: a thread can only park one
     /// workspace at a safe point, so a second simultaneous attachment on
@@ -419,16 +400,6 @@ impl StateVectorSimulator {
         // Safe: only called on non-terminal edges.
         let amps = self.package.vector_children(edge);
         (amps[0], amps[1])
-    }
-
-    /// Simulation time helper: runs the unitary part of `circuit` in a fresh
-    /// simulator and reports the simulator together with the elapsed time
-    /// (the paper's `t_sim`).
-    pub fn timed_run(circuit: &QuantumCircuit) -> Result<(Self, Duration), SimError> {
-        let start = Instant::now();
-        let mut sim = StateVectorSimulator::new(circuit.num_qubits());
-        sim.run(circuit)?;
-        Ok((sim, start.elapsed()))
     }
 }
 
@@ -578,14 +549,6 @@ mod tests {
         let mut sim2 = StateVectorSimulator::with_initial_state(&bits);
         sim2.run(&circuit).unwrap();
         assert!(sim2.fidelity_with_rerun(&flip, &bits).unwrap() < 0.6);
-    }
-
-    #[test]
-    fn timed_run_reports_duration() {
-        let circuit = ghz::ghz(8, true);
-        let (mut sim, elapsed) = StateVectorSimulator::timed_run(&circuit).unwrap();
-        assert!(elapsed.as_nanos() > 0);
-        assert_eq!(sim.outcome_distribution().len(), 2);
     }
 
     #[test]
