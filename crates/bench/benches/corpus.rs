@@ -146,8 +146,9 @@ fn corpus_throughput(_c: &mut Criterion) {
             "chain mode's extra verifications buy blame localisation (a refutation names the \
              guilty pass); endpoint mode only learns that the ends differ",
             "the corpus is compiled by this workspace's own staged compiler, so adjacent \
-             snapshots are insertion-aligned near-identity miters — the regime the \
-             functional(aligned) gate schedule was built for; corpora from compilers with \
+             snapshots differ by inserted gates only: functional(aligned) pairs every gate \
+             with its twin and relabels each inserted SWAP instead of multiplying it in, so \
+             the route step's miter stays at the identity; corpora from compilers with \
              global resynthesis passes would blunt it",
             "originals are unmeasured unitaries (the Fig. 1b use case): on measured corpora the \
              distribution-based fixed-input scheme shortcuts the endpoint check and endpoint \

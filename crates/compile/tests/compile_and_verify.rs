@@ -6,7 +6,7 @@ use algorithms::{bv, ghz, qft, qpe};
 use circuit::QuantumCircuit;
 use compile::{Compiler, CompilerOptions, CouplingMap, NativeBasis, Target};
 use proptest::prelude::*;
-use qcec::{check_functional_equivalence, Configuration};
+use qcec::{check_functional_equivalence, Configuration, Strategy};
 use sim::{extract_distribution, ExtractionConfig};
 
 /// Pads a circuit with idle qubits so it matches the device register.
@@ -159,6 +159,48 @@ fn an_injected_compiler_bug_is_caught_by_the_checker() {
     let check =
         check_functional_equivalence(&reference, &broken, &Configuration::default()).unwrap();
     assert!(!check.equivalence.considered_equivalent());
+}
+
+#[test]
+fn line_routed_steps_stay_at_the_identity_under_the_aligned_schedule() {
+    // Routing onto a line inserts SWAP ladders. The aligned schedule
+    // relabels them instead of multiplying them in, so the `basis` →
+    // `route` miter never leaves the 15-node identity. Multiplied in, they
+    // would turn the QFT-15 step's miter into a 27306-node permutation.
+    let phi = qpe::random_exact_phase(14, 15);
+    let options = CompilerOptions {
+        optimize: false,
+        restore_layout: true,
+    };
+    for circuit in [
+        qft::qft_static(15, None, false),
+        qpe::qpe_static(phi, 14, false),
+    ] {
+        let staged = Compiler::with_options(Target::line(15), options)
+            .compile_staged(&circuit)
+            .unwrap();
+        assert!(staged.result.swaps_inserted > 0, "{}", circuit.name());
+        let [_, basis, route] = &staged.passes[..] else {
+            panic!("opt level 0 runs three passes");
+        };
+        assert_eq!((basis.pass, route.pass), ("basis", "route"));
+        let check = check_functional_equivalence(
+            &basis.circuit,
+            &route.circuit,
+            &Configuration {
+                strategy: Strategy::Aligned,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(
+            check.equivalence.considered_equivalent(),
+            "{}: {:?}",
+            circuit.name(),
+            check.equivalence
+        );
+        assert_eq!(check.peak_diagram_size, 15, "{}", circuit.name());
+    }
 }
 
 proptest! {

@@ -81,11 +81,14 @@ pub enum Strategy {
     ///   work. The budget's cancel token and deadline are polled on this
     ///   path too.
     ///
-    /// Inserted SWAP triplets are applied on the right side alone while the
-    /// wire correspondence is updated, so the intermediate miter stays a
-    /// literal qubit permutation instead of drifting into a large diagram.
-    /// Gates without a twin fall back to the proportional schedule, so the
-    /// strategy degrades gracefully on unrelated pairs.
+    /// SWAP triplets inserted on the right side are relabellings, not
+    /// products: the walk renames the wires of every later right gate
+    /// (`SWAP·g·SWAP` is `g` on renamed wires) and multiplies nothing, so a
+    /// routed step's miter stays at the identity. Whatever permutation the
+    /// renaming still holds at the end (none on a restored layout) is
+    /// right-multiplied once, as at most `n − 1` SWAPs. Gates without a twin
+    /// fall back to the proportional schedule, so the strategy degrades
+    /// gracefully on unrelated pairs.
     Aligned,
 }
 

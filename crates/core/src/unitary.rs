@@ -14,8 +14,8 @@
 //! and applies the two together, so the miter never drifts from the
 //! identity on equivalent pairs that hold the same gates in a different
 //! order — the static and the reconstructed semiclassical QFT, or QPE and
-//! the reconstructed iterative QPE. Three syntactic rules decide what is
-//! applied, and each is exact:
+//! the reconstructed iterative QPE, or a circuit and its routed form. Four
+//! syntactic rules decide what is applied, and each is exact:
 //!
 //! * **Commutation.** A pending right gate may be applied before the right
 //!   gates that precede it when, on every wire it shares with one of them,
@@ -32,15 +32,23 @@
 //!   named the target does not change the unitary. This is what lines a
 //!   deferred `p_if` (control on the later qubit) up with the static
 //!   `cp(k, j)` (control on the earlier qubit).
+//! * **Relabelling.** A SWAP inserted on the right (the three-CNOT triplet a
+//!   router emits) is not multiplied in. `SWAP·g·SWAP` is `g` with two wires
+//!   renamed, so pushing the SWAP to the right end of `U·U'†` renames the
+//!   wires of every later right gate and leaves the product unchanged. The
+//!   walk keeps the renaming as a frame (`frame[right_wire] = miter_wire`)
+//!   and applies every later right gate through it. What the frame still
+//!   permutes at the end is right-multiplied once, as at most `n − 1`
+//!   SWAPs; on a restored layout it is the identity and nothing is left.
 //! * **Identity fast path.** While nothing has been multiplied into the
 //!   miter it is exactly the identity, and a twin pair `g, g` leaves it
 //!   there: `g · I · g† = I`. Such pairs are skipped without any
-//!   decision-diagram work. The fast path allocates no nodes, so it polls
-//!   the budget's cancel token and deadline itself.
+//!   decision-diagram work, and so is a relabelled SWAP. Neither allocates
+//!   nodes, so both poll the budget's cancel token and deadline themselves.
 
 use crate::equivalence::{Configuration, Equivalence, Strategy};
 use circuit::{OpKind, Operation, QuantumCircuit, QuantumControl, StandardGate};
-use dd::{Budget, DdPackage, LimitExceeded, MEdge};
+use dd::{Budget, Control, DdPackage, LimitExceeded, MEdge};
 use sim::{dd_controls, gate_matrix};
 use std::time::{Duration, Instant};
 
@@ -148,9 +156,24 @@ fn apply_left(package: &mut DdPackage, miter: MEdge, op: &Operation) -> MEdge {
     package.mul_matrices(gate_dd, miter)
 }
 
-fn apply_right_inverse(package: &mut DdPackage, miter: MEdge, op: &Operation) -> MEdge {
+/// Right-multiplies the inverse of a right gate with its wires renamed
+/// through `frame` (`frame[right_wire] = miter_wire`; see the module docs on
+/// relabelling).
+fn apply_right_inverse(
+    package: &mut DdPackage,
+    miter: MEdge,
+    op: &Operation,
+    frame: &[usize],
+) -> MEdge {
     let (gate, target, controls) = unitary_parts(op);
-    let gate_dd = package.make_gate(&gate_matrix(gate.inverse()), target, &dd_controls(controls));
+    let controls: Vec<Control> = controls
+        .iter()
+        .map(|c| Control {
+            qubit: frame[c.qubit],
+            positive: c.positive,
+        })
+        .collect();
+    let gate_dd = package.make_gate(&gate_matrix(gate.inverse()), frame[target], &controls);
     package.mul_matrices(miter, gate_dd)
 }
 
@@ -377,7 +400,8 @@ fn poll_budget(budget: &Budget) -> Result<(), CheckError> {
     }
 }
 
-/// Skipped twin pairs between two budget polls on the identity fast path.
+/// Aligned-walk steps that multiply nothing (skipped twin pairs, relabelled
+/// SWAPs) between two budget polls.
 const FAST_PATH_POLL: usize = 64;
 
 /// Checks whether two unitary circuits implement the same functionality.
@@ -476,6 +500,9 @@ pub fn check_functional_equivalence_in(
     let mut package = DdPackage::with_store_config(store, n, budget.clone(), config.memory);
     let mut miter = package.identity();
     let mut peak = package.matrix_size(miter);
+    // Right wire to miter wire. Only the aligned walk relabels; every other
+    // schedule applies the right gates on their own wires.
+    let mut frame: Vec<usize> = (0..n).collect();
 
     match config.strategy {
         Strategy::Reference => {
@@ -487,7 +514,7 @@ pub fn check_functional_equivalence_in(
                 peak = peak.max(package.matrix_size(miter));
             }
             for op in &right_ops {
-                miter = apply_right_inverse(&mut package, miter, op);
+                miter = apply_right_inverse(&mut package, miter, op, &frame);
                 if let Some(reason) = package.limit_exceeded() {
                     return Err(CheckError::LimitExceeded(reason));
                 }
@@ -523,7 +550,7 @@ pub fn check_functional_equivalence_in(
                     miter = apply_left(&mut package, miter, left_ops[li]);
                     li += 1;
                 } else {
-                    miter = apply_right_inverse(&mut package, miter, right_ops[ri]);
+                    miter = apply_right_inverse(&mut package, miter, right_ops[ri], &frame);
                     ri += 1;
                 }
                 if let Some(reason) = package.limit_exceeded() {
@@ -539,58 +566,42 @@ pub fn check_functional_equivalence_in(
             // Diff walk: the left side runs in order, the right side applies
             // the left head's twin as soon as the commutation rule lets it
             // move to the front (see the module docs). `mapping[l] = r` is
-            // the current wire correspondence: after the right side applies
-            // an inserted SWAP, left wires living on the swapped right wires
-            // trade places. Whenever every applied gate had its twin the
-            // partial miter equals the inverse of that wire permutation,
-            // whose diagram grows with the number of wires it carries across
-            // each level: small for local reorderings and restored layouts,
-            // but a line-routed pair's permutation can reach thousands of
-            // nodes between its SWAPs.
+            // the current wire correspondence and `frame` its inverse: after
+            // an inserted SWAP is relabelled, left wires living on the
+            // swapped right wires trade places.
             let total_left = left_ops.len().max(1);
             let total_right = right_ops.len().max(1);
             let mut pending = PendingGates::new(&right_ops, n);
             let mut mapping: Vec<usize> = (0..n).collect();
-            // Nothing multiplied in yet: the miter is exactly the identity,
-            // and so is `mapping` (a SWAP is multiplied in when tracked).
+            // Nothing multiplied in yet: the miter is exactly the identity.
             let mut untouched = true;
-            let mut skipped = 0usize;
+            let mut free_steps = 0usize;
             let mut li = 0;
             let mut steps = 0usize;
             while li < left_ops.len() || pending.front().is_some() {
                 let twin = left_ops
                     .get(li)
                     .and_then(|op| pending.find_twin(op, &mapping));
-                if let Some(twin) = twin {
-                    if untouched {
-                        // Identity fast path: g · I · g† = I.
-                        if skipped.is_multiple_of(FAST_PATH_POLL) {
-                            poll_budget(budget)?;
-                        }
-                        skipped += 1;
-                        li += 1;
-                        pending.remove(twin);
-                        continue;
+                // Whether this step multiplied nothing into the miter.
+                let free = if let Some(twin) = twin {
+                    if !untouched {
+                        miter = apply_left(&mut package, miter, left_ops[li]);
+                        miter = apply_right_inverse(&mut package, miter, right_ops[twin], &frame);
                     }
-                    miter = apply_left(&mut package, miter, left_ops[li]);
                     li += 1;
-                    miter = apply_right_inverse(&mut package, miter, right_ops[twin]);
                     pending.remove(twin);
+                    // Identity fast path: g · I · g† = I.
+                    untouched
                 } else if let Some((a, b)) = pending.swap_triplet() {
-                    // An inserted SWAP: consume all three CNOTs on the right
-                    // side and track the wire exchange.
+                    // An inserted SWAP: consume its three CNOTs and rename
+                    // the two right wires in the frame.
                     for _ in 0..3 {
-                        let front = pending.front().expect("a triplet has three gates");
-                        miter = apply_right_inverse(&mut package, miter, right_ops[front]);
-                        pending.remove(front);
+                        pending.remove(pending.front().expect("a triplet has three gates"));
                     }
-                    for wire in &mut mapping {
-                        if *wire == a {
-                            *wire = b;
-                        } else if *wire == b {
-                            *wire = a;
-                        }
-                    }
+                    mapping[frame[a]] = b;
+                    mapping[frame[b]] = a;
+                    frame.swap(a, b);
+                    true
                 } else {
                     // No twin and no insertion structure here — take one
                     // proportional step so unrelated pairs still terminate
@@ -600,7 +611,8 @@ pub fn check_functional_equivalence_in(
                             if li >= left_ops.len()
                                 || li * total_right > pending.applied * total_left =>
                         {
-                            miter = apply_right_inverse(&mut package, miter, right_ops[front]);
+                            miter =
+                                apply_right_inverse(&mut package, miter, right_ops[front], &frame);
                             pending.remove(front);
                         }
                         _ => {
@@ -608,6 +620,15 @@ pub fn check_functional_equivalence_in(
                             li += 1;
                         }
                     }
+                    false
+                };
+                if free {
+                    // Nothing was allocated, so the package polled nothing.
+                    if free_steps.is_multiple_of(FAST_PATH_POLL) {
+                        poll_budget(budget)?;
+                    }
+                    free_steps += 1;
+                    continue;
                 }
                 untouched = false;
                 if let Some(reason) = package.limit_exceeded() {
@@ -617,6 +638,24 @@ pub fn check_functional_equivalence_in(
                 if steps.is_multiple_of(50) {
                     peak = peak.max(package.matrix_size(miter));
                 }
+            }
+        }
+    }
+
+    // The relabelled SWAPs still owe the miter the frame's permutation.
+    // Right-multiply it once, as at most n − 1 SWAPs: each swaps two right
+    // wires through the frame and leaves one of them fixed.
+    for wire in 0..n {
+        while frame[wire] != wire {
+            let other = frame[wire];
+            let mut swap = QuantumCircuit::new(n, 0);
+            swap.swap(wire, other);
+            for op in swap.ops() {
+                miter = apply_right_inverse(&mut package, miter, op, &frame);
+            }
+            frame.swap(wire, other);
+            if let Some(reason) = package.limit_exceeded() {
+                return Err(CheckError::LimitExceeded(reason));
             }
         }
     }
@@ -642,11 +681,13 @@ pub fn check_functional_equivalence_in(
         Equivalence::NotEquivalent
     };
 
+    let final_diagram_size = package.matrix_size(miter);
     Ok(FunctionalCheck {
         equivalence,
         identity_fidelity,
-        final_diagram_size: package.matrix_size(miter),
-        peak_diagram_size: peak,
+        final_diagram_size,
+        // The residual permutation is multiplied in after the last sample.
+        peak_diagram_size: peak.max(final_diagram_size),
         duration: start.elapsed(),
         memory: package.memory_stats(),
     })
@@ -870,9 +911,8 @@ mod tests {
     fn aligned_strategy_tracks_inserted_swaps() {
         // A "routed" variant of a QFT: SWAP triplets inserted mid-circuit,
         // every later gate re-emitted on the permuted wires. The aligned
-        // schedule must stay in lockstep (same verdict as proportional, and
-        // a peak no worse), because this is exactly the insertion shape it
-        // was built for.
+        // schedule relabels each SWAP and pairs every gate with its twin, so
+        // the miter never leaves the n-node identity.
         let left = qft::qft_static(6, None, false);
         let routed = insert_swaps(&left, &[(3, 0), (7, 2), (11, 4), (14, 1)]);
         let aligned = check_functional_equivalence(
@@ -895,12 +935,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(proportional.equivalence, Equivalence::Equivalent);
-        assert!(
-            aligned.peak_diagram_size <= proportional.peak_diagram_size,
-            "aligned peak {} exceeds proportional peak {}",
-            aligned.peak_diagram_size,
-            proportional.peak_diagram_size
-        );
+        assert_eq!(aligned.peak_diagram_size, left.num_qubits());
     }
 
     #[test]
@@ -977,24 +1012,30 @@ mod tests {
 
     #[test]
     fn aligned_fast_path_observes_the_budget() {
-        // The identity fast path allocates nothing, so the package never
-        // polls the budget there: the walk has to stop by itself.
+        // The identity fast path and the SWAP relabelling allocate nothing,
+        // so the package never polls the budget there: the walk has to stop
+        // by itself. The routed right side opens with a SWAP on the wire of
+        // the first gate, so its first step is a relabelling.
         let left = qft::qft_static(8, None, false);
+        let opening = left.ops()[0].qubits()[0].min(6);
+        let routed = insert_swaps(&left, &[(0, opening), (5, 3), (9, 0)]);
         let config = Configuration {
             strategy: Strategy::Aligned,
             ..Default::default()
         };
-        let expired = Budget::unlimited().with_deadline(Duration::ZERO);
-        assert!(matches!(
-            check_functional_equivalence_with(&left, &left, &config, &expired),
-            Err(CheckError::LimitExceeded(LimitExceeded::Deadline))
-        ));
-        let cancelled = Budget::unlimited();
-        cancelled.cancel();
-        assert!(matches!(
-            check_functional_equivalence_with(&left, &left, &config, &cancelled),
-            Err(CheckError::LimitExceeded(LimitExceeded::Cancelled))
-        ));
+        for right in [&left, &routed] {
+            let expired = Budget::unlimited().with_deadline(Duration::ZERO);
+            assert!(matches!(
+                check_functional_equivalence_with(&left, right, &config, &expired),
+                Err(CheckError::LimitExceeded(LimitExceeded::Deadline))
+            ));
+            let cancelled = Budget::unlimited();
+            cancelled.cancel();
+            assert!(matches!(
+                check_functional_equivalence_with(&left, right, &config, &cancelled),
+                Err(CheckError::LimitExceeded(LimitExceeded::Cancelled))
+            ));
+        }
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Soundness of the aligned schedule's syntactic rules against dense
 //! unitaries.
 //!
-//! `Strategy::Aligned` decides two things without decision-diagram work:
-//! which pending right gate may be applied out of order (commutation) and
-//! which pair of gates cancels (twins). Both are checked here on random
-//! circuits from `algorithms::random` (at most 6 qubits):
+//! `Strategy::Aligned` decides three things without decision-diagram work:
+//! which pending right gate may be applied out of order (commutation),
+//! which pair of gates cancels (twins) and which right-side SWAP triplet is
+//! only a renaming of wires (relabelling). All three are checked here on
+//! random circuits from `algorithms::random` (at most 6 qubits):
 //!
 //! * legal reorders — random swaps of adjacent gates that commute, and
 //!   control/target exchanges of positive-control phase gates — must come
 //!   out `Equivalent`;
+//! * routed rewrites — SWAP triplets inserted at random points, every later
+//!   gate re-emitted through the evolving map — must come out `Equivalent`
+//!   when the layout is restored and get the dense oracle's verdict when it
+//!   is not;
 //! * near-miss mutations a looser rule would accept must not: each is first
 //!   confirmed different by the dense oracle, so no case passes vacuously.
 
@@ -258,4 +263,303 @@ fn near_miss_mutations_are_refuted() {
             }
         }
     }
+}
+
+/// Where a router inserts a SWAP, and how it writes it.
+#[derive(Debug, Clone, Copy)]
+struct Insertion {
+    /// Index of the original gate the SWAP goes in before (the gate count
+    /// for "after the last gate").
+    at: usize,
+    /// The two routed wires whose occupants trade places.
+    a: usize,
+    b: usize,
+    triplet: Triplet,
+}
+
+/// How an inserted SWAP is written: as the three-CNOT triplet, or as one
+/// of the near misses a looser relabelling rule would take for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Triplet {
+    /// `cx(a, b); cx(b, a); cx(a, b)`.
+    Swap,
+    /// CNOT number `k` of the triplet with control and target exchanged.
+    Reversed(usize),
+    /// CNOT number `k` of the triplet left out.
+    Dropped(usize),
+    /// The triplet written on `(a, c)` while the later gates follow the
+    /// exchange of `a` and `b`.
+    WrongPair(usize),
+}
+
+fn cx(control: usize, target: usize) -> Operation {
+    Operation::unitary(StandardGate::X, target, vec![QuantumControl::pos(control)])
+}
+
+/// The operations of an inserted SWAP of wires `a` and `b`.
+fn triplet_ops(a: usize, b: usize, triplet: Triplet) -> Vec<Operation> {
+    let (a, b) = match triplet {
+        Triplet::WrongPair(c) => (a, c),
+        _ => (a, b),
+    };
+    let mut ops = vec![cx(a, b), cx(b, a), cx(a, b)];
+    match triplet {
+        Triplet::Reversed(k) => ops[k] = if k == 1 { cx(a, b) } else { cx(b, a) },
+        Triplet::Dropped(k) => {
+            ops.remove(k);
+        }
+        Triplet::Swap | Triplet::WrongPair(_) => {}
+    }
+    ops
+}
+
+/// The SWAPs, in circuit order, that bring every qubit of `layout`
+/// (`layout[logical] = wire`) back to its own wire.
+fn restoring_swaps(layout: &[usize]) -> Vec<(usize, usize)> {
+    let mut layout = layout.to_vec();
+    let mut swaps = Vec::new();
+    for wire in 0..layout.len() {
+        // Every wire below `wire` already holds its own qubit.
+        let home = layout[wire];
+        if home != wire {
+            swaps.push((wire, home));
+            exchange(&mut layout, wire, home);
+        }
+    }
+    swaps
+}
+
+/// Moves the occupants of wires `a` and `b` of `layout` onto each other's
+/// wire.
+fn exchange(layout: &mut [usize], a: usize, b: usize) {
+    for wire in layout {
+        if *wire == a {
+            *wire = b;
+        } else if *wire == b {
+            *wire = a;
+        }
+    }
+}
+
+/// A router's rewrite of a circuit.
+struct Routed {
+    circuit: QuantumCircuit,
+    /// `layout[logical] = wire` after the last gate.
+    layout: Vec<usize>,
+}
+
+/// Rebuilds `circuit` as a router would: each insertion's SWAP goes in
+/// before its gate, and every gate is re-emitted through the evolving map.
+/// With `restore`, plain SWAPs at the end bring every qubit back to its own
+/// wire (as the compiler's layout restoration does).
+fn route(circuit: &QuantumCircuit, insertions: &[Insertion], restore: bool) -> Routed {
+    let n = circuit.num_qubits();
+    let mut layout: Vec<usize> = (0..n).collect();
+    let mut ops = Vec::new();
+    for index in 0..=circuit.len() {
+        for insertion in insertions.iter().filter(|i| i.at == index) {
+            ops.extend(triplet_ops(insertion.a, insertion.b, insertion.triplet));
+            exchange(&mut layout, insertion.a, insertion.b);
+        }
+        let Some(op) = circuit.ops().get(index) else {
+            break;
+        };
+        let OpKind::Unitary {
+            gate,
+            target,
+            controls,
+        } = &op.kind
+        else {
+            panic!("routing needs unitary circuits, found `{op}`");
+        };
+        let controls = controls
+            .iter()
+            .map(|c| QuantumControl {
+                qubit: layout[c.qubit],
+                positive: c.positive,
+            })
+            .collect();
+        ops.push(Operation::unitary(*gate, layout[*target], controls));
+    }
+    if restore {
+        for (a, b) in restoring_swaps(&layout) {
+            ops.extend(triplet_ops(a, b, Triplet::Swap));
+            exchange(&mut layout, a, b);
+        }
+    }
+    Routed {
+        circuit: circuit_of(n, ops),
+        layout,
+    }
+}
+
+/// One to four SWAPs on random wire pairs at random points of a circuit
+/// with `len` gates, so the layouts they leave include cycles of every
+/// length.
+fn random_insertions(n: usize, len: usize, rng: &mut StdRng) -> Vec<Insertion> {
+    (0..rng.gen_range(1..5))
+        .map(|_| {
+            let a = rng.gen_range(0..n);
+            Insertion {
+                at: rng.gen_range(0..len + 1),
+                a,
+                b: (a + rng.gen_range(1..n)) % n,
+                triplet: Triplet::Swap,
+            }
+        })
+        .collect()
+}
+
+/// The longest cycle of a permutation.
+fn longest_cycle(permutation: &[usize]) -> usize {
+    (0..permutation.len())
+        .map(|start| {
+            let mut length = 1;
+            let mut wire = permutation[start];
+            while wire != start {
+                wire = permutation[wire];
+                length += 1;
+            }
+            length
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// The verdict the dense oracle backs for a pair that is either equal or
+/// clearly apart (every routed fixture here is one or the other).
+fn oracle_verdict(left: &QuantumCircuit, right: &QuantumCircuit) -> Equivalence {
+    let dense = oracle(left, right);
+    if dense.max_diff < 1e-9 {
+        Equivalence::Equivalent
+    } else {
+        assert!(dense.fidelity < 1.0 - 1e-6, "ambiguous fixture");
+        Equivalence::NotEquivalent
+    }
+}
+
+/// `original` followed by the permutation a routing left (`layout[logical]
+/// = wire`), with every CNOT of its SWAPs written as H·CZ·H so that nothing
+/// in it twins a routed circuit's triplets. This is the unitary of the
+/// unrestored routing.
+fn with_output_permutation(original: &QuantumCircuit, layout: &[usize]) -> QuantumCircuit {
+    let mut circuit = original.clone();
+    for (a, b) in restoring_swaps(layout).into_iter().rev() {
+        for (control, target) in [(a, b), (b, a), (a, b)] {
+            circuit.h(target).cz(control, target).h(target);
+        }
+    }
+    circuit
+}
+
+/// A random circuit of 2 to 6 qubits and a router's insertions for it.
+fn routing_fixture(seed: u64) -> (QuantumCircuit, Vec<Insertion>, StdRng) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(2..7usize);
+    let left = random_unitary_circuit(n, rng.gen_range(8..30usize), seed);
+    let insertions = random_insertions(n, left.len(), &mut rng);
+    (left, insertions, rng)
+}
+
+#[test]
+fn routed_layouts_get_the_oracles_verdict() {
+    for seed in 0..60u64 {
+        let (left, insertions, _) = routing_fixture(seed);
+        let restored = route(&left, &insertions, true).circuit;
+        assert!(
+            oracle(&left, &restored).max_diff < 1e-9,
+            "seed {seed}: bad fixture"
+        );
+        for (a, b) in [(&left, &restored), (&restored, &left)] {
+            assert_eq!(
+                verdict(a, b, Strategy::Aligned),
+                Equivalence::Equivalent,
+                "seed {seed}: a restored routing was not recognised"
+            );
+        }
+        let unrestored = route(&left, &insertions, false).circuit;
+        assert_eq!(
+            verdict(&left, &unrestored, Strategy::Aligned),
+            oracle_verdict(&left, &unrestored),
+            "seed {seed}: unrestored layout"
+        );
+    }
+}
+
+#[test]
+fn the_residual_permutation_is_multiplied_the_right_way_round() {
+    // An unrestored routing is the original followed by its output
+    // permutation. Written on the left with every CNOT as H·CZ·H, nothing
+    // there twins the right's triplets: the left multiplies the permutation
+    // in, and only a correctly directed residual cancels it. An involution
+    // cannot tell the directions apart, so the run must include longer
+    // cycles.
+    let mut long_cycles = 0;
+    for seed in 0..60u64 {
+        let (original, insertions, _) = routing_fixture(seed);
+        let routed = route(&original, &insertions, false);
+        let left = with_output_permutation(&original, &routed.layout);
+        assert!(
+            oracle(&left, &routed.circuit).max_diff < 1e-9,
+            "seed {seed}: bad fixture"
+        );
+        assert_eq!(
+            verdict(&left, &routed.circuit, Strategy::Aligned),
+            Equivalence::Equivalent,
+            "seed {seed}: layout {:?}",
+            routed.layout
+        );
+        if longest_cycle(&routed.layout) >= 3 {
+            long_cycles += 1;
+        }
+    }
+    assert!(
+        long_cycles >= 5,
+        "only {long_cycles} layouts with a 3-cycle"
+    );
+}
+
+#[test]
+fn near_miss_swaps_are_refuted() {
+    let mut cases = 0;
+    for mutation in 0..7 {
+        for seed in 0..20u64 {
+            let (original, mut insertions, mut rng) = routing_fixture(seed);
+            let n = original.num_qubits();
+            let chosen = rng.gen_range(0..insertions.len());
+            let Insertion { a, b, .. } = insertions[chosen];
+            insertions[chosen].triplet = match mutation {
+                0..=2 => Triplet::Reversed(mutation),
+                3..=5 => Triplet::Dropped(mutation - 3),
+                _ => match (0..n).find(|&c| c != a && c != b) {
+                    Some(c) => Triplet::WrongPair(c),
+                    None => continue,
+                },
+            };
+            let context = format!("{:?}, seed {seed}", insertions[chosen].triplet);
+            // Against the unitary the routing should have kept: the original
+            // when the layout is restored, the original followed by the
+            // tracked output permutation when it is not.
+            let restore = seed % 2 == 0;
+            let Routed {
+                circuit: right,
+                layout,
+            } = route(&original, &insertions, restore);
+            let left = with_output_permutation(&original, &layout);
+
+            // The oracle confirms the mutation changed the unitary.
+            let dense = oracle(&left, &right);
+            assert!(dense.max_diff > 1e-7, "{context}: mutation is a no-op");
+            assert!(dense.fidelity < 1.0 - 1e-6, "{context}: weak fixture");
+            for (x, y) in [(&left, &right), (&right, &left)] {
+                assert_eq!(
+                    verdict(x, y, Strategy::Aligned),
+                    Equivalence::NotEquivalent,
+                    "{context}"
+                );
+            }
+            cases += 1;
+        }
+    }
+    assert!(cases > 120, "only {cases} mutants");
 }

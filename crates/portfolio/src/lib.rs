@@ -119,9 +119,11 @@
 //!   an insertion-only pair (the shape every routing pass produces) in
 //!   lockstep, pairing each gate with its twin and tracking inserted SWAP
 //!   triplets as wire renamings, so the routed step's miter never drifts
-//!   the way a globally proportional schedule lets it. This is what makes
-//!   the chain's hardest step — the routing pass — cheaper than the
-//!   endpoint miter instead of costlier.
+//!   the way a globally proportional schedule lets it. Only the residual
+//!   permutation the renamings leave at the end is multiplied in, once, and
+//!   a restored layout leaves none. This is what makes the chain's hardest
+//!   step — the routing pass — cheaper than the endpoint miter instead of
+//!   costlier.
 //!
 //! Chains ride every front-end: manifests gain a `chains` array
 //! ([`batch::Manifest::chains`], [`chain::ChainSpec`]), `verify --chain`
