@@ -218,13 +218,15 @@ fn parse_operation(stmt: &str, lineno: usize) -> Result<Operation, ParseQasmErro
         let close = head
             .rfind(')')
             .ok_or_else(|| err(lineno, "missing `)` in gate parameters"))?;
-        let params: Result<Vec<f64>, _> = head[open + 1..close]
+        // `f64::from_str` also accepts `nan` and `inf`; a non-finite angle
+        // has no gate matrix, so it is as invalid as a malformed number.
+        let params: Option<Vec<f64>> = head[open + 1..close]
             .split(',')
-            .map(|p| p.trim().parse::<f64>())
+            .map(|p| p.trim().parse::<f64>().ok().filter(|v| v.is_finite()))
             .collect();
         (
             &head[..open],
-            params.map_err(|_| err(lineno, "invalid gate parameter"))?,
+            params.ok_or_else(|| err(lineno, "invalid gate parameter"))?,
         )
     } else {
         (head, vec![])
@@ -398,6 +400,34 @@ mod tests {
     fn parse_rejects_bad_measure() {
         let text = "qreg q[1];\ncreg c[1];\nmeasure q[0] c[0];\n";
         assert!(from_qasm(text).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_parameters() {
+        for value in ["nan", "NaN", "inf", "-inf", "infinity"] {
+            let text = format!("qreg q[2];\nh q[0];\nrz({value}) q[0];\ncx q[0], q[1];\n");
+            let e = from_qasm(&text).expect_err(value);
+            assert_eq!(e.line, 3, "{value}");
+            assert!(e.message.contains("invalid gate parameter"), "{value}");
+        }
+        let text = "qreg q[1];\nu(0.5, nan, 0.1) q[0];\n";
+        assert!(from_qasm(text).is_err());
+    }
+
+    #[test]
+    fn parse_accepts_finite_edge_parameters() {
+        for (value, expected) in [("-0.0", -0.0), ("1e-300", 1e-300)] {
+            let text = format!("qreg q[1];\nrz({value}) q[0];\n");
+            let qc = from_qasm(&text).expect(value);
+            assert_eq!(
+                qc.ops()[0].kind,
+                OpKind::Unitary {
+                    gate: StandardGate::Rz(expected),
+                    target: 0,
+                    controls: vec![],
+                }
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@ use algorithms::{bv, ghz, qft, qpe};
 use circuit::QuantumCircuit;
 use compile::{Compiler, CompilerOptions, CouplingMap, NativeBasis, Target};
 use proptest::prelude::*;
-use qcec::{check_functional_equivalence, Configuration, Strategy};
+use qcec::{
+    check_functional_equivalence, check_simulative_equivalence, Configuration, Equivalence,
+    Strategy,
+};
 use sim::{extract_distribution, ExtractionConfig};
 
 /// Pads a circuit with idle qubits so it matches the device register.
@@ -201,6 +204,44 @@ fn line_routed_steps_stay_at_the_identity_under_the_aligned_schedule() {
         );
         assert_eq!(check.peak_diagram_size, 15, "{}", circuit.name());
     }
+}
+
+#[test]
+fn a_broken_qpe11_basis_step_is_refuted_on_dense_stimuli() {
+    // The chain step that dominated simulative refutations: a line-routed
+    // QPE-11 at opt level 0 whose `basis` output lost its first CX. From
+    // |0…0⟩ the broken snapshot spreads over about a thousand basis states,
+    // which the decision-diagram simulator pays for in nodes. At 11 qubits
+    // the stimuli run on dense vectors and allocate none.
+    let phi = qpe::random_exact_phase(10, 11);
+    let options = CompilerOptions {
+        optimize: false,
+        restore_layout: true,
+    };
+    let staged = Compiler::with_options(Target::line(11), options)
+        .compile_staged(&qpe::qpe_static(phi, 10, false))
+        .unwrap();
+    let [decompose, basis, _] = &staged.passes[..] else {
+        panic!("opt level 0 runs three passes");
+    };
+    assert_eq!((decompose.pass, basis.pass), ("decompose", "basis"));
+    let first_cx = basis
+        .circuit
+        .ops()
+        .iter()
+        .position(|op| op.to_string().starts_with("cx "))
+        .expect("the basis output has a CX");
+    let mut broken = QuantumCircuit::new(11, 0);
+    for (index, op) in basis.circuit.ops().iter().enumerate() {
+        if index != first_cx {
+            broken.push(op.clone());
+        }
+    }
+    let check =
+        check_simulative_equivalence(&decompose.circuit, &broken, &Configuration::default())
+            .unwrap();
+    assert_eq!(check.equivalence, Equivalence::NotEquivalent);
+    assert_eq!(check.memory.allocated_nodes, 0);
 }
 
 proptest! {

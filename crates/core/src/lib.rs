@@ -14,7 +14,9 @@
 //!   [*aligned*](Strategy::Aligned) schedule that pairs every gate with its
 //!   reordered twin) and tests it against the identity.
 //! * **Simulative equivalence** ([`check_simulative_equivalence`]): compares
-//!   the action of both circuits on random computational-basis stimuli.
+//!   the action of both circuits on random computational-basis stimuli. Up
+//!   to 12 qubits each stimulus runs on a dense state vector of `2^n`
+//!   amplitudes; wider registers run on decision diagrams.
 //! * **Dynamic circuits, scheme 1** ([`verify_dynamic_functional`]): the
 //!   paper's Section 4 — reset substitution plus deferred measurements turn a
 //!   dynamic circuit into a unitary one, which is then checked functionally

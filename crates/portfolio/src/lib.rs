@@ -13,8 +13,9 @@
 //!   the [`Scheme`] it describes carries the static name. The engine and
 //!   scheduler are generic over registry entries; adding a scheme means
 //!   adding one descriptor. The seven entries are three miter schedules
-//!   (proportional, aligned, one-to-one) plus simulation for static pairs,
-//!   and the reconstruction flow under the proportional and aligned
+//!   (proportional, aligned, one-to-one) plus simulation for static pairs
+//!   (on dense state vectors up to 12 qubits, on decision diagrams
+//!   beyond), and the reconstruction flow under the proportional and aligned
 //!   schedules plus the fixed-input extraction for dynamic pairs. On a
 //!   reconstructed pair the aligned schedule ([`qcec::Strategy::Aligned`])
 //!   pairs every gate with its reordered twin, so
