@@ -63,7 +63,7 @@ pub enum Strategy {
     /// QFT/QPE against their reconstructed dynamic realizations, and the
     /// shape every routing pass produces. Each left gate is applied together
     /// with its inverted right *twin*, so the miter stays near the identity.
-    /// Three rules decide the pairing, and each is exact:
+    /// Five rules decide what is applied, and each is exact:
     ///
     /// * **Commutation.** The twin may sit behind other pending right gates
     ///   if, on every wire it shares with one of them, both act diagonally
@@ -75,20 +75,28 @@ pub enum Strategy {
     ///   controls on the same wire *set*. Such a gate only multiplies the
     ///   all-ones state of its wires by a phase, so the choice of target
     ///   does not change its unitary.
+    /// * **Relabelling.** SWAP triplets inserted on the right side are
+    ///   renamings, not products: the walk renames the wires of every later
+    ///   right gate (`SWAP·g·SWAP` is `g` on renamed wires) and multiplies
+    ///   nothing, so a routed step's miter stays at the identity. Whatever
+    ///   permutation the renaming still holds at the end (none on a restored
+    ///   layout) is right-multiplied once, as at most `n − 1` SWAPs.
     /// * **Identity fast path.** While nothing has been multiplied in, the
     ///   miter is exactly the identity and a twin pair keeps it there
     ///   (`g · I · g† = I`), so the pair is skipped without decision-diagram
     ///   work. The budget's cancel token and deadline are polled on this
     ///   path too.
+    /// * **Suffix.** At the first gate that has to be multiplied in, while
+    ///   the miter and the wire renaming are both still the identity, the
+    ///   walk strips the identical suffix once: the last left gates whose
+    ///   twins may move to the back of the pending right gates. The miter
+    ///   is then `S·W·S†` for the window `W` in between, and
+    ///   `tr(S·W·S†) = tr(W)`, so only the window is built. After the strip
+    ///   SWAP triplets are multiplied like other gates rather than
+    ///   relabelled.
     ///
-    /// SWAP triplets inserted on the right side are relabellings, not
-    /// products: the walk renames the wires of every later right gate
-    /// (`SWAP·g·SWAP` is `g` on renamed wires) and multiplies nothing, so a
-    /// routed step's miter stays at the identity. Whatever permutation the
-    /// renaming still holds at the end (none on a restored layout) is
-    /// right-multiplied once, as at most `n − 1` SWAPs. Gates without a twin
-    /// fall back to the proportional schedule, so the strategy degrades
-    /// gracefully on unrelated pairs.
+    /// Gates without a twin fall back to the proportional schedule over the
+    /// window, so the strategy degrades gracefully on unrelated pairs.
     Aligned,
 }
 

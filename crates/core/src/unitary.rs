@@ -14,7 +14,7 @@
 //! and applies the two together, so the miter never drifts from the
 //! identity on equivalent pairs that hold the same gates in a different
 //! order — the static and the reconstructed semiclassical QFT, or QPE and
-//! the reconstructed iterative QPE, or a circuit and its routed form. Four
+//! the reconstructed iterative QPE, or a circuit and its routed form. Five
 //! syntactic rules decide what is applied, and each is exact:
 //!
 //! * **Commutation.** A pending right gate may be applied before the right
@@ -45,6 +45,25 @@
 //!   there: `g · I · g† = I`. Such pairs are skipped without any
 //!   decision-diagram work, and so is a relabelled SWAP. Neither allocates
 //!   nodes, so both poll the budget's cancel token and deadline themselves.
+//! * **Suffix.** At the first step that would multiply into the miter (the
+//!   left head has no twin and no SWAP triplet leads the right side), the
+//!   walk strips the identical suffix, once. While the last unapplied left
+//!   gate has a pending right twin that may move to the *back* of the
+//!   pending gates (the commutation rule, mirrored), both are dropped. The
+//!   two circuits are then `S·W_L·A` and `S·W_R·A'` with `A = A'` the
+//!   skipped prefix, so `U·U'† = S·(W_L·W_R†)·S†`, and since
+//!   `tr(S·W·S†) = tr(W)` the fidelity, the global-phase split and the
+//!   no-information rule all read off the window's miter `W_L·W_R†`, which
+//!   is all the walk goes on to build. Two frame conditions go with it.
+//!   The strip needs the miter *and* the frame to be the identity: a
+//!   relabelled prefix owes its permutation `P` at the right end, and
+//!   `tr(S·W·S†·P)` is not `tr(W·P)` unless `S` commutes with `P`. After the
+//!   strip the walk relabels no more SWAPs but multiplies them like other
+//!   gates, so the frame stays the identity and the window owes no
+//!   permutation. (Relabelling there would be exact too, since what the
+//!   window owes sits inside the conjugation by `S`; the rule keeps the
+//!   window a plain product.) The backward walk allocates no nodes and
+//!   polls the budget like the fast path.
 
 use crate::equivalence::{Configuration, Equivalence, Strategy};
 use circuit::{OpKind, Operation, QuantumCircuit, QuantumControl, StandardGate};
@@ -102,7 +121,10 @@ pub struct FunctionalCheck {
     pub identity_fidelity: f64,
     /// Size (node count) of the final miter diagram.
     pub final_diagram_size: usize,
-    /// Largest intermediate miter size observed.
+    /// Largest intermediate miter size observed. Under
+    /// [`Strategy::Aligned`] this and the final size count the miter of the
+    /// window between the skipped prefix and the stripped suffix, the only
+    /// part the walk builds (see the module docs on the suffix rule).
     pub peak_diagram_size: usize,
     /// Wall-clock time of the check (the paper's `t_ver`).
     pub duration: Duration,
@@ -233,6 +255,15 @@ struct WireLink {
     next: usize,
 }
 
+/// The end of the pending right gates a twin is moved to.
+#[derive(Clone, Copy)]
+enum End {
+    /// Applied next, before every other pending gate.
+    Front,
+    /// Applied last, after every other pending gate (the suffix strip).
+    Back,
+}
+
 /// The right circuit's gates not yet applied to the miter, in circuit order,
 /// with an index of the pending gates on each wire. Applying a gate out of
 /// order unlinks it in O(its wires); the twin search walks only the gates
@@ -245,9 +276,10 @@ struct PendingGates<'a> {
     /// Gate `i` owns `links[first_link[i]..first_link[i + 1]]`.
     first_link: Vec<usize>,
     links: Vec<WireLink>,
-    /// First pending link of every wire.
+    /// First and last pending link of every wire.
     wire_head: Vec<usize>,
-    /// Number of gates applied so far.
+    wire_tail: Vec<usize>,
+    /// Number of gates applied (or stripped) so far.
     applied: usize,
 }
 
@@ -288,6 +320,7 @@ impl<'a> PendingGates<'a> {
             first_link,
             links,
             wire_head,
+            wire_tail,
             applied: 0,
         }
     }
@@ -320,19 +353,36 @@ impl<'a> PendingGates<'a> {
                 NONE => self.wire_head[wire] = next,
                 _ => self.links[prev].next = next,
             }
-            if next != NONE {
-                self.links[next].prev = prev;
+            match next {
+                NONE => self.wire_tail[wire] = prev,
+                _ => self.links[next].prev = prev,
             }
         }
         self.applied += 1;
     }
 
-    /// Whether pending gate `op` may be applied before every pending gate
-    /// that precedes it: on each wire it shares with one of them, both act
-    /// diagonally.
-    fn movable(&self, op: usize) -> bool {
+    /// The pending link on `wire` nearest to `end`.
+    fn outermost(&self, wire: usize, end: End) -> usize {
+        match end {
+            End::Front => self.wire_head[wire],
+            End::Back => self.wire_tail[wire],
+        }
+    }
+
+    /// The pending link after `link` on its wire, walking away from `end`.
+    fn inward(link: &WireLink, end: End) -> usize {
+        match end {
+            End::Front => link.next,
+            End::Back => link.prev,
+        }
+    }
+
+    /// Whether pending gate `op` may be applied before (`Front`) or after
+    /// (`Back`) every other pending gate: on each wire it shares with one of
+    /// the gates between it and that end, both act diagonally.
+    fn movable(&self, op: usize, end: End) -> bool {
         self.links_of(op).iter().all(|own| {
-            let mut cursor = self.wire_head[own.wire];
+            let mut cursor = self.outermost(own.wire, end);
             loop {
                 let link = &self.links[cursor];
                 if link.op == op {
@@ -341,29 +391,30 @@ impl<'a> PendingGates<'a> {
                 if !(own.diagonal && link.diagonal) {
                     return false;
                 }
-                cursor = link.next;
+                cursor = Self::inward(link, end);
             }
         })
     }
 
     /// Finds a pending twin of `left` (see [`ops_match`]) that is
-    /// [`movable`](Self::movable) to the front. Walks the pending gates on
-    /// `left`'s mapped target wire while they act diagonally there — a twin
-    /// behind a non-diagonal gate on that wire could not move past it.
-    fn find_twin(&self, left: &Operation, mapping: &[usize]) -> Option<usize> {
+    /// [`movable`](Self::movable) to `end`. Walks the pending gates on
+    /// `left`'s mapped target wire from that end while they act diagonally
+    /// there — a twin behind a non-diagonal gate on that wire could not move
+    /// past it.
+    fn find_twin(&self, left: &Operation, mapping: &[usize], end: End) -> Option<usize> {
         let (gate, target, _) = unitary_parts(left);
         // The twin acts on this wire as `left` acts on its target.
         let diagonal = gate.is_diagonal();
-        let mut cursor = self.wire_head[mapping[target]];
+        let mut cursor = self.outermost(mapping[target], end);
         while cursor != NONE {
             let link = &self.links[cursor];
-            if ops_match(left, self.ops[link.op], mapping) && self.movable(link.op) {
+            if ops_match(left, self.ops[link.op], mapping) && self.movable(link.op, end) {
                 return Some(link.op);
             }
             if !(diagonal && link.diagonal) {
                 return None;
             }
-            cursor = link.next;
+            cursor = Self::inward(link, end);
         }
         None
     }
@@ -388,21 +439,25 @@ impl<'a> PendingGates<'a> {
     }
 }
 
-/// Polls a budget on paths that allocate no decision-diagram nodes (the
-/// package polls it only inside allocation and at operation safe points).
-fn poll_budget(budget: &Budget) -> Result<(), CheckError> {
-    if budget.is_cancelled() {
-        Err(CheckError::LimitExceeded(LimitExceeded::Cancelled))
-    } else if budget.deadline_exceeded() {
-        Err(CheckError::LimitExceeded(LimitExceeded::Deadline))
-    } else {
-        Ok(())
-    }
-}
-
 /// Aligned-walk steps that multiply nothing (skipped twin pairs, relabelled
-/// SWAPs) between two budget polls.
+/// SWAPs, stripped suffix pairs) between two budget polls.
 const FAST_PATH_POLL: usize = 64;
+
+/// Counts an aligned-walk step that multiplied nothing, polling the budget
+/// before every [`FAST_PATH_POLL`]-th one: the package polls it only inside
+/// allocation and at operation safe points.
+fn free_step(count: &mut usize, budget: &Budget) -> Result<(), CheckError> {
+    if count.is_multiple_of(FAST_PATH_POLL) {
+        if budget.is_cancelled() {
+            return Err(CheckError::LimitExceeded(LimitExceeded::Cancelled));
+        }
+        if budget.deadline_exceeded() {
+            return Err(CheckError::LimitExceeded(LimitExceeded::Deadline));
+        }
+    }
+    *count += 1;
+    Ok(())
+}
 
 /// Checks whether two unitary circuits implement the same functionality.
 ///
@@ -569,19 +624,25 @@ pub fn check_functional_equivalence_in(
             // the current wire correspondence and `frame` its inverse: after
             // an inserted SWAP is relabelled, left wires living on the
             // swapped right wires trade places.
-            let total_left = left_ops.len().max(1);
-            let total_right = right_ops.len().max(1);
             let mut pending = PendingGates::new(&right_ops, n);
             let mut mapping: Vec<usize> = (0..n).collect();
+            // The left gates still to walk are `li..left_end`; the suffix
+            // strip lowers `left_end`. The window starts at left gate
+            // `left_base` with `right_base` right gates applied (both 0
+            // until a strip); the proportional fallback measures progress
+            // over its lengths.
+            let mut left_end = left_ops.len();
+            let (mut left_base, mut right_base) = (0, 0);
             // Nothing multiplied in yet: the miter is exactly the identity.
             let mut untouched = true;
+            let mut stripped = false;
             let mut free_steps = 0usize;
             let mut li = 0;
             let mut steps = 0usize;
-            while li < left_ops.len() || pending.front().is_some() {
-                let twin = left_ops
+            while li < left_end || pending.front().is_some() {
+                let twin = left_ops[..left_end]
                     .get(li)
-                    .and_then(|op| pending.find_twin(op, &mapping));
+                    .and_then(|op| pending.find_twin(op, &mapping, End::Front));
                 // Whether this step multiplied nothing into the miter.
                 let free = if let Some(twin) = twin {
                     if !untouched {
@@ -592,7 +653,7 @@ pub fn check_functional_equivalence_in(
                     pending.remove(twin);
                     // Identity fast path: g · I · g† = I.
                     untouched
-                } else if let Some((a, b)) = pending.swap_triplet() {
+                } else if let Some((a, b)) = pending.swap_triplet().filter(|_| !stripped) {
                     // An inserted SWAP: consume its three CNOTs and rename
                     // the two right wires in the frame.
                     for _ in 0..3 {
@@ -602,14 +663,33 @@ pub fn check_functional_equivalence_in(
                     mapping[frame[b]] = a;
                     frame.swap(a, b);
                     true
+                } else if untouched && !stripped && (0..n).all(|w| frame[w] == w) {
+                    // Suffix rule: drop the left's last gate with a pending
+                    // twin movable to the back while there is one, then walk
+                    // only the window in between.
+                    stripped = true;
+                    while li < left_end {
+                        let last = left_ops[left_end - 1];
+                        let Some(twin) = pending.find_twin(last, &mapping, End::Back) else {
+                            break;
+                        };
+                        pending.remove(twin);
+                        left_end -= 1;
+                        free_step(&mut free_steps, budget)?;
+                    }
+                    (left_base, right_base) = (li, pending.applied);
+                    true
                 } else {
                     // No twin and no insertion structure here — take one
                     // proportional step so unrelated pairs still terminate
                     // with the same cost shape as `Proportional`.
+                    let total_left = (left_end - left_base).max(1);
+                    let total_right = (right_ops.len() - right_base).max(1);
                     match pending.front() {
                         Some(front)
-                            if li >= left_ops.len()
-                                || li * total_right > pending.applied * total_left =>
+                            if li >= left_end
+                                || (li - left_base) * total_right
+                                    > (pending.applied - right_base) * total_left =>
                         {
                             miter =
                                 apply_right_inverse(&mut package, miter, right_ops[front], &frame);
@@ -623,11 +703,7 @@ pub fn check_functional_equivalence_in(
                     false
                 };
                 if free {
-                    // Nothing was allocated, so the package polled nothing.
-                    if free_steps.is_multiple_of(FAST_PATH_POLL) {
-                        poll_budget(budget)?;
-                    }
-                    free_steps += 1;
+                    free_step(&mut free_steps, budget)?;
                     continue;
                 }
                 untouched = false;
@@ -975,6 +1051,44 @@ mod tests {
             let report = crate::verify_dynamic_functional(&left, &right, &config).unwrap();
             assert_eq!(report.equivalence, Equivalence::Equivalent, "n = {n}");
             assert_eq!(report.check.peak_diagram_size, n, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn paper_size_twins_are_refuted_on_their_window() {
+        // Twins as the repository benchmark builds them: QPE-45 from the
+        // f64 angles of `phase_from_bits` with one phase bit flipped on the
+        // dynamic side, and BV-128 with one hidden bit flipped. The suffix
+        // rule strips the inverse QFT (the final Hadamards for BV), so only
+        // the window of kick-back phases (the one differing CX) is
+        // multiplied.
+        let config = Configuration {
+            strategy: Strategy::Aligned,
+            ..Default::default()
+        };
+        let bits: Vec<bool> = (0..44).map(|i| i % 3 != 1).collect();
+        let hidden: Vec<bool> = (0..127).map(|i| i % 5 < 2).collect();
+        let flip = |bits: &[bool], at: usize| {
+            let mut flipped = bits.to_vec();
+            flipped[at] = !flipped[at];
+            flipped
+        };
+        let static_qpe = qpe::qpe_static(qpe::phase_from_bits(&bits), 44, true);
+        let static_bv = bv::bv_static(&hidden, true);
+        let mut pairs = Vec::new();
+        for at in [0, 21, 43] {
+            let twin = qpe::iqpe_dynamic(qpe::phase_from_bits(&flip(&bits, at)), 44);
+            pairs.push((&static_qpe, twin));
+        }
+        for at in [0, 63, 126] {
+            pairs.push((&static_bv, bv::bv_dynamic(&flip(&hidden, at))));
+        }
+        for (left, right) in pairs {
+            let n = left.num_qubits();
+            let report = crate::verify_dynamic_functional(left, &right, &config).unwrap();
+            let peak = report.check.peak_diagram_size;
+            assert_eq!(report.equivalence, Equivalence::NotEquivalent, "n = {n}");
+            assert!(peak <= 4 * n, "n = {n}: peak {peak}");
         }
     }
 

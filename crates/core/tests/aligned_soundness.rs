@@ -1,11 +1,13 @@
 //! Soundness of the aligned schedule's syntactic rules against dense
 //! unitaries.
 //!
-//! `Strategy::Aligned` decides three things without decision-diagram work:
+//! `Strategy::Aligned` decides four things without decision-diagram work:
 //! which pending right gate may be applied out of order (commutation),
-//! which pair of gates cancels (twins) and which right-side SWAP triplet is
-//! only a renaming of wires (relabelling). All three are checked here on
-//! random circuits from `algorithms::random` (at most 6 qubits):
+//! which pair of gates cancels (twins), which right-side SWAP triplet is
+//! only a renaming of wires (relabelling) and which identical suffix it may
+//! strip before building the window in between (suffix). All four are
+//! checked here on random circuits from `algorithms::random` (at most 6
+//! qubits):
 //!
 //! * legal reorders — random swaps of adjacent gates that commute, and
 //!   control/target exchanges of positive-control phase gates — must come
@@ -15,7 +17,9 @@
 //!   when the layout is restored and get the dense oracle's verdict when it
 //!   is not;
 //! * near-miss mutations a looser rule would accept must not: each is first
-//!   confirmed different by the dense oracle, so no case passes vacuously.
+//!   confirmed different by the dense oracle, so no case passes vacuously;
+//! * pairs `A·M·B` against `A'·M'·B'`, whose identical ends are skipped and
+//!   stripped, must get the dense oracle's verdict from their window.
 
 use algorithms::random::random_unitary_circuit;
 use circuit::{OpKind, Operation, QuantumCircuit, QuantumControl, StandardGate};
@@ -213,15 +217,17 @@ fn gadget(mutation: Mutation, c: usize, t: usize, theta: f64) -> [Vec<Operation>
     }
 }
 
+const MUTATIONS: [Mutation; 5] = [
+    Mutation::HadamardPastPhase,
+    Mutation::ExchangeRz,
+    Mutation::ExchangeNegativeControl,
+    Mutation::PhaseToRz,
+    Mutation::PerturbAngle,
+];
+
 #[test]
 fn near_miss_mutations_are_refuted() {
-    for mutation in [
-        Mutation::HadamardPastPhase,
-        Mutation::ExchangeRz,
-        Mutation::ExchangeNegativeControl,
-        Mutation::PhaseToRz,
-        Mutation::PerturbAngle,
-    ] {
+    for mutation in MUTATIONS {
         for seed in 0..12u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.gen_range(2..7usize);
@@ -562,4 +568,200 @@ fn near_miss_swaps_are_refuted() {
         }
     }
     assert!(cases > 120, "only {cases} mutants");
+}
+
+/// The commutation-exact rewrite of the tests above: phase controls
+/// exchanged, then commuting neighbours swapped.
+fn rewrite(circuit: &QuantumCircuit, rng: &mut StdRng) -> QuantumCircuit {
+    commuting_swaps(&exchange_phase_controls(circuit, rng), rng)
+}
+
+/// The circuit that runs `parts` one after another on `n` qubits.
+fn concat<'a>(n: usize, parts: impl IntoIterator<Item = &'a [Operation]>) -> QuantumCircuit {
+    circuit_of(n, parts.into_iter().flatten().cloned().collect::<Vec<_>>())
+}
+
+/// Checks the aligned verdict on a pair, both ways round, against the
+/// dense oracle under the rules of the tests above: `Equivalent` exactly
+/// when the unitaries are equal, `NotEquivalent` whenever the fidelity is
+/// clearly below 1, and always the verdict of the proportional schedule,
+/// which applies none of the syntactic rules.
+fn assert_oracle_verdict(left: &QuantumCircuit, right: &QuantumCircuit, context: &str) {
+    let dense = oracle(left, right);
+    for (a, b) in [(left, right), (right, left)] {
+        let aligned = verdict(a, b, Strategy::Aligned);
+        assert_eq!(aligned, verdict(a, b, Strategy::Proportional), "{context}");
+        if dense.max_diff < 1e-9 {
+            assert_eq!(aligned, Equivalence::Equivalent, "{context}");
+        } else {
+            assert_ne!(aligned, Equivalence::Equivalent, "{context}");
+        }
+        if dense.fidelity < 1.0 - 1e-6 {
+            assert_eq!(aligned, Equivalence::NotEquivalent, "{context}");
+        }
+    }
+}
+
+/// Random ends `A` and `B` of 4 to 15 gates each on 2 to 6 qubits, and the
+/// rng that drew them.
+fn ends(seed: u64) -> (usize, QuantumCircuit, QuantumCircuit, StdRng) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(2..7usize);
+    let prefix = random_unitary_circuit(n, rng.gen_range(4..16usize), seed);
+    let suffix = random_unitary_circuit(n, rng.gen_range(4..16usize), seed + 1000);
+    (n, prefix, suffix, rng)
+}
+
+/// Two distinct wires of an `n`-qubit register.
+fn wire_pair(n: usize, rng: &mut StdRng) -> (usize, usize) {
+    let c = rng.gen_range(0..n);
+    (c, (c + rng.gen_range(1..n)) % n)
+}
+
+#[test]
+fn stripped_suffixes_get_the_oracles_verdict() {
+    // `A·M·B` against `A'·M'·B'`: `M'` is a near-miss gadget of `M`, or `M`
+    // with one gate dropped. The walk skips `A`, strips `B` and multiplies
+    // only the middle.
+    let mut refuted = 0;
+    for seed in 0..80u64 {
+        let (n, prefix, suffix, mut rng) = ends(seed);
+        let (c, t) = wire_pair(n, &mut rng);
+        let theta = rng.gen_range(0.5..3.0) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+        let [middle, mutated] = if seed % 2 == 0 {
+            gadget(
+                MUTATIONS[(seed / 2) as usize % MUTATIONS.len()],
+                c,
+                t,
+                theta,
+            )
+        } else {
+            let middle = random_unitary_circuit(n, rng.gen_range(2..6usize), seed + 2000);
+            let mut mutated = middle.ops().to_vec();
+            mutated.remove(rng.gen_range(0..mutated.len()));
+            [middle.ops().to_vec(), mutated]
+        };
+        let left = concat(n, [prefix.ops(), &middle, suffix.ops()]);
+        let (prefix_r, suffix_r) = (rewrite(&prefix, &mut rng), rewrite(&suffix, &mut rng));
+        let right = concat(n, [prefix_r.ops(), &mutated, suffix_r.ops()]);
+        let dense = oracle(&left, &right);
+        assert!(dense.max_diff > 1e-7, "seed {seed}: mutation is a no-op");
+        if dense.fidelity < 1.0 - 1e-6 {
+            refuted += 1;
+        }
+        assert_oracle_verdict(&left, &right, &format!("seed {seed}"));
+    }
+    assert!(refuted >= 60, "only {refuted} clear refutations");
+}
+
+#[test]
+fn a_window_that_differs_by_a_global_phase_stays_up_to_phase() {
+    // `rz(θ) = e^{-iθ/2}·p(θ)`: the window's miter is a global phase, and
+    // so is the whole pair's, however long the stripped ends.
+    for seed in 0..30u64 {
+        let (n, prefix, suffix, mut rng) = ends(seed);
+        let wire = rng.gen_range(0..n);
+        let theta = rng.gen_range(0.5..3.0);
+        let rz = [Operation::unitary(StandardGate::Rz(theta), wire, vec![])];
+        let p = [Operation::unitary(StandardGate::Phase(theta), wire, vec![])];
+        let left = concat(n, [prefix.ops(), &rz, suffix.ops()]);
+        let (prefix_r, suffix_r) = (rewrite(&prefix, &mut rng), rewrite(&suffix, &mut rng));
+        let right = concat(n, [prefix_r.ops(), &p, suffix_r.ops()]);
+        let dense = oracle(&left, &right);
+        assert!(
+            dense.max_diff > 1e-3 && dense.fidelity > 1.0 - 1e-9,
+            "seed {seed}: bad fixture"
+        );
+        for (a, b) in [(&left, &right), (&right, &left)] {
+            assert_eq!(
+                verdict(a, b, Strategy::Aligned),
+                Equivalence::EquivalentUpToGlobalPhase,
+                "seed {seed}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_suffix_twin_blocked_on_another_wire_is_not_stripped() {
+    // `A·h(c)·cx(c, t)·B` against `A'·cx(c, t)·h(c)·B'`. Once `B` is
+    // stripped, the right's `cx` is last on its target wire, but the `h`
+    // behind it on the control wire keeps it from moving to the back.
+    // Stripping it anyway would strip the `h` next and pass the pair.
+    for seed in 0..30u64 {
+        let (n, prefix, suffix, mut rng) = ends(seed);
+        let (c, t) = wire_pair(n, &mut rng);
+        let h = Operation::unitary(StandardGate::H, c, vec![]);
+        let left = concat(n, [prefix.ops(), &[h.clone(), cx(c, t)], suffix.ops()]);
+        let (prefix_r, suffix_r) = (rewrite(&prefix, &mut rng), rewrite(&suffix, &mut rng));
+        let right = concat(n, [prefix_r.ops(), &[cx(c, t), h], suffix_r.ops()]);
+        assert!(
+            oracle(&left, &right).fidelity < 1.0 - 1e-6,
+            "seed {seed}: weak fixture"
+        );
+        assert_oracle_verdict(&left, &right, &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn a_relabelled_prefix_blocks_the_strip() {
+    // The right is `A·M·B` routed with SWAPs inside `A` and no restoration,
+    // so at the divergence in `M` the frame still holds the layout `P` and
+    // `B` is re-emitted through it. The left is `A·M̃·B·P·B⁻¹·B`, with `M̃`
+    // the `cx` of `M` written as `h·cz·h` (or with its last `h` dropped)
+    // and `P` written as in `with_output_permutation`. Its suffix `B` twins
+    // the right's through the wire map, but stripping it under `P` would
+    // check `tr(W·P)` instead of `tr(B·W·B†·P)`.
+    let mut permuted = 0;
+    for seed in 0..40u64 {
+        let (n, prefix, suffix, mut rng) = ends(seed);
+        let (c, t) = wire_pair(n, &mut rng);
+        let insertions = random_insertions(n, prefix.len(), &mut rng);
+        let original = concat(n, [prefix.ops(), &[cx(c, t)], suffix.ops()]);
+        let Routed {
+            circuit: right,
+            layout,
+        } = route(&original, &insertions, false);
+        if longest_cycle(&layout) >= 2 {
+            permuted += 1;
+        }
+        let inverse = suffix.inverse().expect("unitary suffix");
+        for broken in [false, true] {
+            let mut rewritten = QuantumCircuit::new(n, 0);
+            rewritten.h(t).cz(c, t);
+            if !broken {
+                rewritten.h(t);
+            }
+            let body = concat(n, [prefix.ops(), rewritten.ops(), suffix.ops()]);
+            let permuted_body = with_output_permutation(&body, &layout);
+            let left = concat(n, [permuted_body.ops(), inverse.ops(), suffix.ops()]);
+            let context = format!("seed {seed}, broken {broken}, layout {layout:?}");
+            assert_oracle_verdict(&left, &right, &context);
+        }
+    }
+    assert!(permuted >= 20, "only {permuted} permuted layouts");
+}
+
+#[test]
+fn a_swap_inside_the_window_gets_the_oracles_verdict() {
+    // `A·M·S·B` against `A'·M'·T·B'`, with `T` the right's SWAP triplet and
+    // `S` the same SWAP written as `h·cz·h` CNOTs, so that nothing twins the
+    // triplet. The divergence in `M` comes first, so the triplet lies inside
+    // the window left between the skipped prefix and the stripped suffix.
+    for seed in 0..40u64 {
+        let (n, prefix, suffix, mut rng) = ends(seed);
+        let (a, b) = wire_pair(n, &mut rng);
+        let (c, t) = wire_pair(n, &mut rng);
+        let theta = rng.gen_range(0.5..3.0);
+        let [middle, mutated] = gadget(MUTATIONS[seed as usize % MUTATIONS.len()], c, t, theta);
+        let mut swap = QuantumCircuit::new(n, 0);
+        for (control, target) in [(a, b), (b, a), (a, b)] {
+            swap.h(target).cz(control, target).h(target);
+        }
+        let left = concat(n, [prefix.ops(), &middle, swap.ops(), suffix.ops()]);
+        let (prefix_r, suffix_r) = (rewrite(&prefix, &mut rng), rewrite(&suffix, &mut rng));
+        let triplet = triplet_ops(a, b, Triplet::Swap);
+        let right = concat(n, [prefix_r.ops(), &mutated, &triplet, suffix_r.ops()]);
+        assert_oracle_verdict(&left, &right, &format!("seed {seed}"));
+    }
 }

@@ -20,7 +20,10 @@
 //!   reconstructed pair the aligned schedule ([`qcec::Strategy::Aligned`])
 //!   pairs every gate with its reordered twin, so
 //!   `dynamic-functional(aligned)` decides the paper's QFT, QPE and BV rows
-//!   without leaving the identity. The reference schedule
+//!   without leaving the identity. It also refutes their one-bit twins: it
+//!   strips the identical suffix and multiplies only the window where the
+//!   pair diverges (the kick-back phases of a QPE twin, the one differing
+//!   CX of a BV twin). The reference schedule
 //!   ([`qcec::Strategy::Reference`]) is not raced. An explicit
 //!   [`PortfolioConfig::schemes`] list may still name an unregistered
 //!   scheme (such as `DynamicFunctional(OneToOne)` or

@@ -3,7 +3,9 @@
 
 use algorithms::{qft, qpe};
 use circuit::QuantumCircuit;
-use portfolio::service::{RejectReason, Request, ServiceConfig, Source, VerificationService};
+use portfolio::service::{
+    RejectReason, Request, RequestHandle, ServiceConfig, Source, VerificationService,
+};
 use std::time::Duration;
 
 fn inline_request(left: &QuantumCircuit, right: &QuantumCircuit, name: &str) -> Request {
@@ -19,19 +21,40 @@ fn inline_request(left: &QuantumCircuit, right: &QuantumCircuit, name: &str) -> 
 
 /// A heavy enough pair that a race cannot finish before the test cancels
 /// it, but which unwinds quickly once the token trips: a 25-qubit QPE
-/// against an IQPE of a phase with one bit flipped. The miter leaves the
-/// identity at the first differing kick-back, and neither the functional
-/// schedules nor the fixed-input extraction refute it within seconds.
+/// against an IQPE of a phase with one bit flipped, with an `rz(0.1)` on
+/// qubit 0 at both ends of the static side's unitary part. Without the
+/// rotations the aligned walk strips the identical inverse QFT and refutes
+/// the twin in milliseconds; with them neither end has a twin, so every
+/// functional schedule multiplies the whole pair, and neither they nor the
+/// fixed-input extraction refute it within seconds.
 fn heavy(name: &str) -> Request {
     let m = 24;
     let bits: Vec<bool> = (0..m).map(|i| i % 3 == 1).collect();
     let mut twin = bits.clone();
     twin[m / 2] = !twin[m / 2];
+    let mut left = QuantumCircuit::new(m + 1, m);
+    left.rz(0.1, 0);
+    left.append(&qpe::qpe_static(qpe::phase_from_bits(&bits), m, false));
+    left.rz(0.1, 0);
+    for k in 0..m {
+        left.measure(k, k);
+    }
     inline_request(
-        &qpe::qpe_static(qpe::phase_from_bits(&bits), m, true),
+        &left,
         &qpe::iqpe_dynamic(qpe::phase_from_bits(&twin), m),
         name,
     )
+}
+
+/// Gives the worker time to dispatch `handle`'s race and asserts that the
+/// race has not finished, so the cancellation that follows lands mid-race.
+fn assert_busy(handle: &RequestHandle) {
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(
+        handle.wait_timeout(Duration::ZERO).is_none(),
+        "the heavy pair finished within 50 ms; these tests need a race that stays busy"
+    );
+    assert!(!handle.cancel_token().is_cancelled());
 }
 
 /// A light pair for tests that want completions, not longevity.
@@ -52,10 +75,8 @@ fn dropped_handle_cancels_the_inflight_race() {
     let service = VerificationService::start(config(1, 4));
     let handle = service.submit(heavy("disconnect")).unwrap();
     let token = handle.cancel_token().clone();
-    // Give the worker a moment to dispatch so the cancel lands mid-race at
-    // least some of the time (the queued-cancel path is tested separately).
-    std::thread::sleep(Duration::from_millis(50));
-    assert!(!token.is_cancelled());
+    // The queued-cancel path is tested separately.
+    assert_busy(&handle);
     drop(handle); // client disconnects
     assert!(
         token.is_cancelled(),
@@ -78,7 +99,7 @@ fn dropped_handle_cancels_the_inflight_race() {
 fn explicit_cancel_is_reported_in_the_outcome() {
     let service = VerificationService::start(config(1, 4));
     let handle = service.submit(heavy("cancel-me")).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    assert_busy(&handle);
     handle.cancel();
     let outcome = handle.wait();
     assert!(outcome.cancelled);
@@ -99,6 +120,7 @@ fn requests_cancelled_while_queued_never_dispatch() {
     let queued_token = queued.cancel_token().clone();
     drop(queued);
     assert!(queued_token.is_cancelled());
+    assert_busy(&blocker);
     blocker.cancel();
     let blocked_outcome = blocker.wait();
     assert!(blocked_outcome.cancelled);
@@ -120,8 +142,9 @@ fn admission_control_rejects_when_saturated_and_after_drain() {
     }
     assert_eq!(service.stats().rejected, 1);
 
+    assert_busy(&inflight);
     inflight.cancel();
-    let _ = inflight.wait();
+    assert!(inflight.wait().cancelled);
     service.drain();
     match service.submit(light("late")) {
         Err(RejectReason::Draining) => {}

@@ -3,7 +3,8 @@
 //! paper reports hold (transformation is cheap, extraction beats simulation
 //! for sparse outputs).
 
-use bench::{build_instance, run_row, Family, RowOptions, RowRunner};
+use algorithms::qpe;
+use bench::{build_instance, run_row, Family, Instance, RowOptions, RowRunner};
 use dd::Budget;
 use qcec::{check_functional_equivalence, Configuration, Equivalence};
 use std::time::Duration;
@@ -53,6 +54,37 @@ fn paper_size_qft_row_decides_in_portfolio_mode() {
     assert_eq!(
         row.functional,
         Equivalence::Equivalent,
+        "no verdict within the deadline (winner {:?})",
+        row.winner
+    );
+}
+
+#[test]
+fn paper_size_qpe_twin_is_refuted_in_portfolio_mode() {
+    // QPE-50 against an IQPE whose phase has one bit flipped, both from the
+    // f64 angles of `phase_from_bits`, as the repository benchmark builds
+    // its Table 1 twins. The aligned reconstruction schedule strips the
+    // identical inverse QFT and multiplies only the window of kick-back
+    // phases, so the twin is refuted inside the benchmark's 1.5 s deadline.
+    let m = 49;
+    let bits: Vec<bool> = (0..m).map(|i| i % 5 < 2).collect();
+    let mut flipped = bits.clone();
+    flipped[m / 2] = !flipped[m / 2];
+    let instance = Instance {
+        family: Family::Qpe,
+        n: m + 1,
+        static_circuit: qpe::qpe_static(qpe::phase_from_bits(&bits), m, true),
+        dynamic_circuit: qpe::iqpe_dynamic(qpe::phase_from_bits(&flipped), m),
+    };
+    let options = RowOptions {
+        budget: Budget::unlimited().with_deadline(Duration::from_millis(1500)),
+        runner: RowRunner::Portfolio,
+        ..Default::default()
+    };
+    let row = run_row(&instance, &Configuration::default(), &options);
+    assert_eq!(
+        row.functional,
+        Equivalence::NotEquivalent,
         "no verdict within the deadline (winner {:?})",
         row.winner
     );
